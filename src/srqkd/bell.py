@@ -108,9 +108,17 @@ def _fix_phase(c0: complex, c1: complex) -> Tuple[complex, complex]:
     return c0 * phase, c1 * phase
 
 
+class FieldError(ValueError):
+    """Invalid parameter value, carrying the name of the offending field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def _check_direction_pair(alpha: float, beta: float) -> None:
     if abs(alpha * alpha + beta * beta - 1.0) > 1e-9:
-        raise ValueError("alpha^2 + beta^2 must equal 1")
+        raise FieldError("alpha", "alpha^2 + beta^2 must equal 1")
 
 
 def superposition_direction(

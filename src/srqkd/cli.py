@@ -9,8 +9,9 @@ file byte for byte.
 Serialization rules: JSON is emitted by a small canonical writer (stable
 key order, floats with 17 significant digits, complex numbers as
 ``[re, im]`` pairs); CSV uses a comma separator, a header row, ``.``
-decimals, and LF line endings.  All files are written to a temporary name
-and renamed into place, so a failing command never leaves partial output.
+decimals, and LF line endings.  All files of a command are first written
+under temporary names and renamed into place only once every one of them
+is complete, so a failing command never leaves a partial output set.
 
 Exit codes: 0 success (run-protocol: verdict Secure), 2 EveDetected,
 3 InsufficientData, 1 bad config or I/O failure.  Config schema errors
@@ -21,6 +22,7 @@ messages on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -29,7 +31,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .bell import (
     EveAtom,
     EveStrategy,
     EveTargets,
+    FieldError,
     IDENTITY_STRATEGY,
     assemble_s,
     bell_terms,
@@ -50,7 +53,15 @@ from .cavity import cavity_bell_terms, transfer_shared_state
 from .device import ProbeState, SuperpositionCoeffs, analyze_device, classify_counts, device_povm
 from .fock import StateVector, fidelity
 from .optics import make_source_state
-from .protocol import Backend, ProtocolConfig, RoundRecord, Verdict, run_protocol
+from .protocol import (
+    Backend,
+    ProtocolConfig,
+    RoundRecord,
+    Transcript,
+    Verdict,
+    record_from_code,
+    run_protocol,
+)
 from .rng import make_generator
 
 log = logging.getLogger("srqkd")
@@ -99,31 +110,51 @@ def json_canonical(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
-    log.info("wrote %s", path)
+def write_atomic_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write one staged file: each item, then a newline.
 
-
-def write_atomic_lines(path: Path, lines) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    An item may hold several lines joined by newlines.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
-    os.replace(tmp, path)
-    log.info("wrote %s", path)
+
+
+def write_outputs(out_dir: Path, files: Dict[str, Iterable[str]]) -> None:
+    """Write every output file of a command, or none of them.
+
+    Each file (name -> items for :func:`write_atomic_lines`) is written
+    under a ``.tmp`` name first; the files are renamed into place only
+    after all writes succeeded.  On failure the staged files, and the
+    output directory if this call created it, are removed.
+    """
+    created = not out_dir.exists()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged = []
+    try:
+        for name, lines in files.items():
+            staged.append((out_dir / (name + ".tmp"), out_dir / name))
+            write_atomic_lines(staged[-1][0], lines)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
+        raise
+    for tmp, path in staged:
+        os.replace(tmp, path)
+        log.info("wrote %s", path)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """CSV lines without the final newline (which the writer adds)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return buf.getvalue()[:-1]
 
 
 def _manifest(command: str, config_obj: dict) -> dict:
@@ -341,11 +372,8 @@ def _build_protocol_config(values: dict, prefix: str) -> ProtocolConfig:
             min_cell_samples=values["min_cell_samples"],
             run_index=values["run_index"],
         )
-    except ValueError as err:
-        message = str(err)
-        first = message.split()[0] if message else ""
-        field = first if first in _PROTOCOL_FIELDS else ""
-        raise SchemaError(f"{prefix}{field}" if field else (prefix.rstrip(".") or "config"), message) from err
+    except FieldError as err:
+        raise SchemaError(f"{prefix}{err.field}", str(err)) from err
 
 
 def _protocol_config_json(config: ProtocolConfig) -> dict:
@@ -423,10 +451,14 @@ def cmd_bell_sweep(args: argparse.Namespace) -> int:
         "alphas": values["alphas"],
         "projector_convention": convention.value,
     }
-    write_atomic(out_dir / "manifest.json", json_canonical(_manifest("bell-sweep", config_obj)) + "\n")
-    write_atomic(
-        out_dir / "bell_sweep.csv",
-        _csv_text(("alpha", "beta", "s_closed_form", "s_oracle", "verdict"), rows),
+    write_outputs(
+        out_dir,
+        {
+            "manifest.json": [json_canonical(_manifest("bell-sweep", config_obj))],
+            "bell_sweep.csv": [
+                _csv_text(("alpha", "beta", "s_closed_form", "s_oracle", "verdict"), rows)
+            ],
+        },
     )
     return 0
 
@@ -445,19 +477,39 @@ def _record_json(rec: RoundRecord) -> str:
     )
 
 
+class _RecordTails(dict):
+    """Record code -> its transcript line after ``{"round_id":0``, made on first use.
+
+    Lines differ only in their round id, so each code is serialized once.
+    """
+
+    def __missing__(self, code: int) -> str:
+        tail = self[code] = _record_json(record_from_code(0, code))[len('{"round_id":0') :]
+        return tail
+
+
+# Transcript lines joined per write; a small block stays in cache and
+# keeps the text held at any one time small.
+_TRANSCRIPT_BLOCK = 1 << 12
+
+
+def _transcript_lines(transcript: Transcript) -> Iterator[str]:
+    """Transcript JSONL, one block of lines at a time."""
+    tails = _RecordTails()
+    codes = transcript.codes
+    for start in range(0, len(codes), _TRANSCRIPT_BLOCK):
+        block = codes[start : start + _TRANSCRIPT_BLOCK].tolist()
+        yield "\n".join(['{"round_id":' + str(r) + tails[c] for r, c in enumerate(block, start)])
+
+
 def cmd_run_protocol(args: argparse.Namespace) -> int:
     values, prefix = _resolve(
         args, _PROTOCOL_FIELDS, ("rounds", "seed", "backend", "projector_convention", "eta")
     )
     config = _build_protocol_config(values, prefix)
     log.info("running protocol: %d rounds, backend %s", config.rounds, config.backend.value)
-    result, records = run_protocol(config)
+    result, transcript = run_protocol(config)
 
-    out_dir = Path(args.out)
-    write_atomic(
-        out_dir / "manifest.json",
-        json_canonical(_manifest("run-protocol", _protocol_config_json(config))) + "\n",
-    )
     summary = {
         "schema_version": 1,
         "tool_version": __version__,
@@ -473,8 +525,14 @@ def cmd_run_protocol(args: argparse.Namespace) -> int:
         "sifted_key_alice": result.sifted_key_alice,
         "sifted_key_bob": result.sifted_key_bob,
     }
-    write_atomic(out_dir / "summary.json", json_canonical(summary) + "\n")
-    write_atomic_lines(out_dir / "transcript.jsonl", (_record_json(rec) for rec in records))
+    write_outputs(
+        Path(args.out),
+        {
+            "manifest.json": [json_canonical(_manifest("run-protocol", _protocol_config_json(config)))],
+            "summary.json": [json_canonical(summary)],
+            "transcript.jsonl": _transcript_lines(transcript),
+        },
+    )
 
     log.info("verdict: %s", result.verdict.value)
     if result.verdict is Verdict.SECURE:
@@ -558,12 +616,13 @@ def cmd_eve_scan(args: argparse.Namespace) -> int:
         "min_cell_samples",
     ):
         config_obj[name] = values[name]
-    write_atomic(out_dir / "manifest.json", json_canonical(_manifest("eve-scan", config_obj)) + "\n")
-    write_atomic(
-        out_dir / "eve_scan.csv",
-        _csv_text(
-            ("index", "targets", "theta", "phi", "s_analytic", "s_simulated", "detected"), rows
-        ),
+    header = ("index", "targets", "theta", "phi", "s_analytic", "s_simulated", "detected")
+    write_outputs(
+        out_dir,
+        {
+            "manifest.json": [json_canonical(_manifest("eve-scan", config_obj))],
+            "eve_scan.csv": [_csv_text(header, rows)],
+        },
     )
     return 0
 
@@ -632,8 +691,13 @@ def cmd_device_stats(args: argparse.Namespace) -> int:
         "samples": values["samples"],
         "seed": values["seed"],
     }
-    write_atomic(out_dir / "manifest.json", json_canonical(_manifest("device-stats", config_obj)) + "\n")
-    write_atomic(out_dir / "device_stats.json", json_canonical(report) + "\n")
+    write_outputs(
+        out_dir,
+        {
+            "manifest.json": [json_canonical(_manifest("device-stats", config_obj))],
+            "device_stats.json": [json_canonical(report)],
+        },
+    )
     return 0
 
 
@@ -683,8 +747,13 @@ def cmd_cavity_demo(args: argparse.Namespace) -> int:
         "beta": beta,
         "projector_convention": convention.value,
     }
-    write_atomic(out_dir / "manifest.json", json_canonical(_manifest("cavity-demo", config_obj)) + "\n")
-    write_atomic(out_dir / "cavity_demo.json", json_canonical(report) + "\n")
+    write_outputs(
+        out_dir,
+        {
+            "manifest.json": [json_canonical(_manifest("cavity-demo", config_obj))],
+            "cavity_demo.json": [json_canonical(report)],
+        },
+    )
     return 0
 
 

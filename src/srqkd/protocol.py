@@ -9,7 +9,7 @@ configurable sacrificed fraction of the Number/Number rounds, feeds the
 six-term separability estimator, whose deviation from the analytic value
 drives the verdict.
 
-Three measurement backends share the loop:
+Three measurement backends share the sampler:
 
 * ``IDEAL``    - exact two-outcome projective measurements,
 * ``DEVICE``   - the linear-optics comparison device (three outcomes; the
@@ -18,24 +18,33 @@ Three measurement backends share the loop:
 * ``CAVITY``   - photon-to-atom transfer followed by deterministic Ramsey
   readout (two outcomes, like IDEAL).
 
-The loop never simulates optics per round: the exact outcome distribution
-for each (channel member, setting pair) is precomputed once with the Fock
-machinery, and rounds are drawn from those tables using the counter-based
-streams documented in :mod:`srqkd.rng`.
+The sampler never simulates optics per round, and never walks rounds in
+Python.  The exact outcome distribution for each (channel member, setting
+pair) is computed once with the Fock machinery and packed into padded
+arrays: cumulative branch probabilities for Alice, for Bob given Alice's
+branch, and the recorded outcome of every branch under every pattern of
+detector-loss draws.  Rounds are then drawn a chunk of ``CHUNK_ROUNDS`` at a
+time with whole-array lookups, from the counter-based streams documented in
+:mod:`srqkd.rng`; since every round's draws are addressed by its counter,
+the chunking changes no byte of the output.  A round is kept as one small
+record code (settings, outcomes, loss flags), and the transcript is a
+read-only sequence of :class:`RoundRecord` views over those codes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .bell import (
     Convention,
     EveStrategy,
+    FieldError,
     IDENTITY_STRATEGY,
     Party,
     SettingTag,
@@ -60,6 +69,9 @@ from .optics import make_source_state
 from .rng import PARTY_ALICE, PARTY_BOB, PARTY_SHARED, round_uniforms
 
 _BRANCH_EPS = 1e-14
+
+# Rounds sampled per step; bounds the working memory of a run.
+CHUNK_ROUNDS = 1 << 16
 
 
 class Backend(Enum):
@@ -99,20 +111,20 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
+            raise FieldError("rounds", "rounds must be at least 1")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit word")
+            raise FieldError("seed", "seed must fit in an unsigned 64-bit word")
         _check_direction_pair(self.alpha, self.beta)
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
+            raise FieldError("eta", "eta must lie in (0, 1]")
         if not 0.0 < self.bell_sample_fraction <= 1.0:
-            raise ValueError("bell_sample_fraction must lie in (0, 1]")
+            raise FieldError("bell_sample_fraction", "bell_sample_fraction must lie in (0, 1]")
         if not (math.isfinite(self.detection_sigma) and self.detection_sigma > 0):
-            raise ValueError("detection_sigma must be positive")
+            raise FieldError("detection_sigma", "detection_sigma must be positive")
         if self.min_cell_samples < 1:
-            raise ValueError("min_cell_samples must be at least 1")
+            raise FieldError("min_cell_samples", "min_cell_samples must be at least 1")
         if self.run_index < 0:
-            raise ValueError("run_index must be non-negative")
+            raise FieldError("run_index", "run_index must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,6 +151,81 @@ class ProtocolResult:
     rounds: int
     key_length: int
     cell_counts: Dict[str, int]
+
+
+# ---------------------------------------------------------------------------
+# Record codes
+#
+# A party's side of a round is ``outcome index * 2 + lost``, one of _SIDES
+# values; a round is ``setting pair * _SIDES**2 + alice side * _SIDES + bob
+# side``, where the setting pair is ``a_sup * 2 + b_sup``.  Pair 0 (both
+# chose Number) is therefore exactly the codes below _SIDES**2.
+
+_SETTINGS = (SettingTag.NUMBER, SettingTag.SUPERPOSITION)
+_OUTCOMES = tuple(RoundOutcome)
+_CLICK = _OUTCOMES.index(RoundOutcome.CLICK)
+_SIDES = 2 * len(_OUTCOMES)
+RECORD_CODES = 4 * _SIDES * _SIDES
+
+
+def _code_fields(code: int) -> tuple:
+    """RoundRecord fields after the round id, of a record code."""
+    pair, sides = divmod(code, _SIDES**2)
+    a_side, b_side = divmod(sides, _SIDES)
+    return (
+        _SETTINGS[pair >> 1],
+        _SETTINGS[pair & 1],
+        _OUTCOMES[a_side >> 1],
+        _OUTCOMES[b_side >> 1],
+        bool(a_side & 1),
+        bool(b_side & 1),
+    )
+
+
+def record_from_code(round_id: int, code: int) -> RoundRecord:
+    return RoundRecord(round_id, *_code_fields(code))
+
+
+def _record_code(rec: RoundRecord) -> int:
+    pair = _SETTINGS.index(rec.alice_setting) * 2 + _SETTINGS.index(rec.bob_setting)
+    a_side = _OUTCOMES.index(rec.alice_outcome) * 2 + bool(rec.alice_lost)
+    b_side = _OUTCOMES.index(rec.bob_outcome) * 2 + bool(rec.bob_lost)
+    return (pair * _SIDES + a_side) * _SIDES + b_side
+
+
+class Transcript(Sequence):
+    """A run's rounds, stored as one record code per round.
+
+    Reads as a sequence of :class:`RoundRecord`; equality compares the
+    records, so a transcript equals a list holding the same records.
+    """
+
+    __hash__ = None
+
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[r] for r in range(*index.indices(len(self)))]
+        r = range(len(self))[index]
+        return record_from_code(r, int(self.codes[r]))
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        for start in range(0, len(self.codes), CHUNK_ROUNDS):
+            chunk = self.codes[start : start + CHUNK_ROUNDS].tolist()
+            for r, code in enumerate(chunk, start):
+                yield record_from_code(r, code)
+
+    def __eq__(self, other):
+        if isinstance(other, Transcript):
+            return np.array_equal(self.codes, other.codes)
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -281,67 +368,128 @@ def _cumulative(branches):
     return out
 
 
-def _pick(cum_branches, u: float):
-    for entry in cum_branches:
-        if u < entry[0]:
-            return entry
-    return cum_branches[-1]
+def _side_codes(label, kind: str, eta: float) -> Tuple[int, ...]:
+    """Recorded side code of a branch with true label ``label``, per loss pattern.
+
+    Bit j of a pattern is set when loss draw j (slot 2 + j) is u >= eta and
+    so misses the photon it thins.  As in :func:`apply_loss`, a number
+    branch's photons take the draws in order, and a device branch's second
+    detector count takes the draws after those of its first.
+    """
+    codes = []
+    for pattern in range(4):
+        draws = (float(pattern & 1), float(pattern >> 1))  # 0.0 keeps a photon, 1.0 misses it
+        if kind == _KIND_PROJECTIVE:
+            out = RoundOutcome.PLUS if label is OutcomeTag.PLUS else RoundOutcome.MINUS
+            lost = False
+        elif kind == _KIND_NUMBER:
+            kept = _thin_count(label, eta, draws)
+            out = RoundOutcome.CLICK if kept >= 1 else RoundOutcome.NO_CLICK
+            lost = kept < label
+        else:
+            ca, cb = label
+            ka = _thin_count(ca, eta, draws[:ca])
+            kb = _thin_count(cb, eta, draws[ca : ca + cb])
+            out = RoundOutcome(classify_counts((ka, kb)).value)
+            lost = ka + kb < ca + cb
+        codes.append(_OUTCOMES.index(out) * 2 + lost)
+    return tuple(codes)
 
 
-def _build_tables(config: ProtocolConfig):
+# Padding for cumulative tables: above every uniform, so never counted.
+_PAD = 2.0
+
+
+class _Tables(NamedTuple):
+    """Exact outcome tables of one config, packed for whole-array sampling.
+
+    Row ``member * 4 + setting pair`` holds one (channel member, setting
+    pair).  ``*_last`` is the index of the last real branch, which also
+    takes any draw at or above the final cumulative value.
+    """
+
+    member_cum: np.ndarray  # (members,)
+    a_cum: np.ndarray  # (rows, ka)
+    a_last: np.ndarray  # (rows,)
+    a_side: np.ndarray  # (rows, ka, 4) side code per loss pattern
+    b_cum: np.ndarray  # (rows, ka, kb), given Alice's branch
+    b_last: np.ndarray  # (rows, ka)
+    b_side: np.ndarray  # (rows, ka, kb, 4)
+
+
+def _build_tables(config: ProtocolConfig) -> _Tables:
     """Exact joint outcome tables per channel member and setting pair."""
     source = make_source_state()
     ensemble = eve_channel(config.eve, source)
     dir_a = superposition_direction(Party.A, config.alpha, config.beta, config.convention)
     dir_b = superposition_direction(Party.B, config.alpha, config.beta, config.convention)
+    cavity = config.backend is Backend.CAVITY
+    alice_mode = ATOM_MODE[Party.A] if cavity else 0
+    # Alice's arm is consumed by her measurement, so Bob's is what remains.
+    bob_mode = ATOM_MODE[Party.B] if cavity else 0
 
-    member_probs = [p for p, _ in ensemble.members]
-    tables = []
+    rows = []  # per row: [(cum, side codes, [(cum, side codes), ...] for Bob), ...]
     for _, member in ensemble.members:
-        root = transfer_shared_state(member) if config.backend is Backend.CAVITY else member
-        alice_mode = ATOM_MODE[Party.A] if config.backend is Backend.CAVITY else 0
-        per_pair = {}
-        for sa in (SettingTag.NUMBER, SettingTag.SUPERPOSITION):
+        root = transfer_shared_state(member) if cavity else member
+        for sa in _SETTINGS:
             a_branches = _party_branches(root, config.backend, Party.A, sa, dir_a, alice_mode)
-            for sb in (SettingTag.NUMBER, SettingTag.SUPERPOSITION):
-                entries = []
-                for a_label, a_kind, p_a, collapsed in a_branches:
-                    if config.backend is Backend.CAVITY:
-                        bob_mode = ATOM_MODE[Party.B]
-                    else:
-                        bob_mode = 0  # Alice's arm was consumed, Bob's is what remains
+            for sb in _SETTINGS:
+                alice = []
+                for a_cum, a_label, a_kind, collapsed in _cumulative(a_branches):
                     b_branches = _party_branches(
                         collapsed, config.backend, Party.B, sb, dir_b, bob_mode
                     )
-                    bob_cum = tuple(
-                        (cum, label, kind) for cum, label, kind, _ in _cumulative(b_branches)
-                    )
-                    entries.append((p_a, a_label, a_kind, bob_cum))
-                acc = 0.0
-                cum_entries = []
-                for p_a, a_label, a_kind, bob_cum in entries:
-                    acc += p_a
-                    cum_entries.append((acc, a_label, a_kind, bob_cum))
-                if abs(acc - 1.0) > 1e-9:
-                    raise ArithmeticError(f"alice branch probabilities sum to {acc}")
-                per_pair[(sa, sb)] = tuple(cum_entries)
-        tables.append(per_pair)
-    return member_probs, tables
+                    bob = [
+                        (b_cum, _side_codes(b_label, b_kind, config.eta))
+                        for b_cum, b_label, b_kind, _ in _cumulative(b_branches)
+                    ]
+                    alice.append((a_cum, _side_codes(a_label, a_kind, config.eta), bob))
+                rows.append(alice)
+
+    ka = max(len(alice) for alice in rows)
+    kb = max(len(bob) for alice in rows for _, _, bob in alice)
+    a_cum = np.full((len(rows), ka), _PAD)
+    a_last = np.zeros(len(rows), dtype=np.intp)
+    a_side = np.zeros((len(rows), ka, 4), dtype=np.intp)
+    b_cum = np.full((len(rows), ka, kb), _PAD)
+    b_last = np.zeros((len(rows), ka), dtype=np.intp)
+    b_side = np.zeros((len(rows), ka, kb, 4), dtype=np.intp)
+    for i, alice in enumerate(rows):
+        a_last[i] = len(alice) - 1
+        for j, (cum, side, bob) in enumerate(alice):
+            a_cum[i, j], a_side[i, j] = cum, side
+            b_last[i, j] = len(bob) - 1
+            for k, (cum_b, side_b) in enumerate(bob):
+                b_cum[i, j, k], b_side[i, j, k] = cum_b, side_b
+    member_cum = np.cumsum([p for p, _ in ensemble.members])
+    return _Tables(member_cum, a_cum, a_last, a_side, b_cum, b_last, b_side)
 
 
-def _observe(label, kind, eta: float, u2: float, u3: float) -> Tuple[RoundOutcome, bool]:
-    """True branch label -> recorded outcome after detector loss."""
-    if kind == _KIND_PROJECTIVE:
-        return (RoundOutcome.PLUS if label is OutcomeTag.PLUS else RoundOutcome.MINUS), False
-    if kind == _KIND_NUMBER:
-        kept = _thin_count(label, eta, (u2, u3))
-        return (RoundOutcome.CLICK if kept >= 1 else RoundOutcome.NO_CLICK), kept < label
-    ca, cb = label
-    draws = (u2, u3)
-    ka = _thin_count(ca, eta, draws[:ca])
-    kb = _thin_count(cb, eta, draws[ca : ca + cb])
-    tag = classify_counts((ka, kb))
-    return RoundOutcome(tag.value), (ka + kb) < (ca + cb)
+def _loss_pattern(u: np.ndarray, eta: float):
+    """Per-round loss-draw pattern of a party stream (see _side_codes)."""
+    if eta >= 1.0:
+        return 0
+    return (u[:, 2] >= eta) + 2 * (u[:, 3] >= eta)
+
+
+def _sample_chunk(
+    tables: _Tables, ua: np.ndarray, ub: np.ndarray, us: np.ndarray, eta: float
+) -> np.ndarray:
+    """Record codes of a chunk of rounds, from the rounds' party draws.
+
+    A branch is the first whose cumulative probability exceeds the draw,
+    or the last one: ``min(count(u >= cum), last)``.
+    """
+    members = np.minimum(
+        np.searchsorted(tables.member_cum, us[:, 0], side="right"), len(tables.member_cum) - 1
+    )
+    pair = (ua[:, 0] >= 0.5) * 2 + (ub[:, 0] >= 0.5)
+    row = members * 4 + pair
+    a = np.minimum((ua[:, 1, None] >= tables.a_cum[row]).sum(axis=1), tables.a_last[row])
+    b = np.minimum((ub[:, 1, None] >= tables.b_cum[row, a]).sum(axis=1), tables.b_last[row, a])
+    a_side = tables.a_side[row, a, _loss_pattern(ua, eta)]
+    b_side = tables.b_side[row, a, b, _loss_pattern(ub, eta)]
+    return (pair * _SIDES**2 + a_side * _SIDES + b_side).astype(np.uint16)
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +506,34 @@ _SCALES = {
 }
 
 
-def _estimate_cells(records: Sequence[RoundRecord], backend: Backend):
-    hits = [0, 0, 0, 0, 0, 0]
-    counts = [0, 0, 0, 0, 0, 0]
-    for rec in records:
-        a_sup = rec.alice_setting is SettingTag.SUPERPOSITION
-        b_sup = rec.bob_setting is SettingTag.SUPERPOSITION
-        a_hit = rec.alice_outcome is (RoundOutcome.PLUS if a_sup else RoundOutcome.CLICK)
-        b_hit = rec.bob_outcome is (RoundOutcome.PLUS if b_sup else RoundOutcome.CLICK)
-        if a_sup:
-            counts[0] += 1
-            hits[0] += a_hit
-        if b_sup:
-            counts[1] += 1
-            hits[1] += b_hit
-        idx = 2 if (a_sup and b_sup) else 3 if a_sup else 4 if b_sup else 5
-        counts[idx] += 1
-        hits[idx] += a_hit and b_hit
+def _cell_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """Per record code: which estimator cells it counts in, and hits."""
+    code = np.arange(RECORD_CODES)
+    pair, sides = np.divmod(code, _SIDES**2)
+    a_side, b_side = np.divmod(sides, _SIDES)
+    a_sup, b_sup = pair >> 1 == 1, pair & 1 == 1
+    plus = _OUTCOMES.index(RoundOutcome.PLUS)
+    a_hit = a_side >> 1 == np.where(a_sup, plus, _CLICK)
+    b_hit = b_side >> 1 == np.where(b_sup, plus, _CLICK)
+    joint = np.select([a_sup & b_sup, a_sup, b_sup], [2, 3, 4], 5)
+    counts = np.zeros((RECORD_CODES, 6), dtype=np.int64)
+    hits = np.zeros((RECORD_CODES, 6), dtype=np.int64)
+    counts[:, 0], hits[:, 0] = a_sup, a_sup & a_hit
+    counts[:, 1], hits[:, 1] = b_sup, b_sup & b_hit
+    counts[code, joint], hits[code, joint] = 1, a_hit & b_hit
+    return counts, hits
+
+
+_CELL_COUNTS, _CELL_HITS = _cell_tables()
+
+
+def _estimate_cells(code_counts: np.ndarray, backend: Backend):
+    """S, its standard error and the cell sizes of a set of rounds.
+
+    ``code_counts[c]`` is the number of rounds with record code ``c``.
+    """
+    counts = (code_counts @ _CELL_COUNTS).tolist()
+    hits = (code_counts @ _CELL_HITS).tolist()
     scales = _SCALES[backend]
     terms = []
     variance = 0.0
@@ -408,7 +567,8 @@ def estimate_s(
     _check_direction_pair(alpha, beta)
     if not records:
         raise ValueError("no records to estimate from")
-    s, stderr, cells = _estimate_cells(records, backend)
+    codes = np.fromiter(map(_record_code, records), dtype=np.uint16)
+    s, stderr, cells = _estimate_cells(np.bincount(codes, minlength=RECORD_CODES), backend)
     empty = [name for name, n in cells.items() if n == 0]
     if empty:
         raise ValueError(f"empty estimator cells: {', '.join(empty)}")
@@ -416,75 +576,44 @@ def estimate_s(
 
 
 # ---------------------------------------------------------------------------
-# Protocol loop
+# Protocol run
 
 
-def run_protocol(config: ProtocolConfig) -> Tuple[ProtocolResult, List[RoundRecord]]:
+def run_protocol(config: ProtocolConfig) -> Tuple[ProtocolResult, Transcript]:
     """Execute the full protocol; returns the summary and the transcript.
 
     Deterministic: the transcript is a pure function of the config (seed
     and run_index included).  See :mod:`srqkd.rng` for the stream layout.
     """
-    member_probs, tables = _build_tables(config)
-    member_cum = np.cumsum(member_probs)
-
-    ua = round_uniforms(config.seed, config.run_index, PARTY_ALICE, config.rounds)
-    ub = round_uniforms(config.seed, config.run_index, PARTY_BOB, config.rounds)
-    us = round_uniforms(config.seed, config.run_index, PARTY_SHARED, config.rounds)
-
-    members = np.minimum(
-        np.searchsorted(member_cum, us[:, 0], side="right"), len(member_probs) - 1
-    ).tolist()
-    a_sup = (ua[:, 0] >= 0.5).tolist()
-    b_sup = (ub[:, 0] >= 0.5).tolist()
-    a_draw = ua[:, 1].tolist()
-    b_draw = ub[:, 1].tolist()
-    sacrifice = (us[:, 1] < config.bell_sample_fraction).tolist()
-    lossy = config.eta < 1.0
-    if lossy:
-        a_loss = ua[:, 2:4].tolist()
-        b_loss = ub[:, 2:4].tolist()
-
-    records: List[RoundRecord] = []
-    bell_records: List[RoundRecord] = []
-    key_a: List[str] = []
-    key_b: List[str] = []
+    tables = _build_tables(config)
+    codes = np.empty(config.rounds, dtype=np.uint16)
+    bell_counts = np.zeros(RECORD_CODES, dtype=np.int64)  # estimator rounds per code
+    key_a = bytearray()
+    key_b = bytearray()
     disagreements = 0
     sift_count = 0
-    eta = config.eta
 
-    for r in range(config.rounds):
-        sa = SettingTag.SUPERPOSITION if a_sup[r] else SettingTag.NUMBER
-        sb = SettingTag.SUPERPOSITION if b_sup[r] else SettingTag.NUMBER
-        entries = tables[members[r]][(sa, sb)]
-        _, a_label, a_kind, bob_cum = _pick(entries, a_draw[r])
-        _, b_label, b_kind = _pick(bob_cum, b_draw[r])
-        if lossy:
-            la, lb = a_loss[r], b_loss[r]
-            a_out, a_lost = _observe(a_label, a_kind, eta, la[0], la[1])
-            b_out, b_lost = _observe(b_label, b_kind, eta, lb[0], lb[1])
-        else:
-            a_out, a_lost = _observe(a_label, a_kind, 1.0, 0.0, 0.0)
-            b_out, b_lost = _observe(b_label, b_kind, 1.0, 0.0, 0.0)
-        rec = RoundRecord(r, sa, sb, a_out, b_out, a_lost, b_lost)
-        records.append(rec)
-        if sa is SettingTag.NUMBER and sb is SettingTag.NUMBER:
-            sift_count += 1
-            if sacrifice[r]:
-                bell_records.append(rec)
-            else:
-                bit_a = "1" if a_out is RoundOutcome.CLICK else "0"
-                # Anti-correlated arms: the receiver inverts its record.
-                bit_b = "0" if b_out is RoundOutcome.CLICK else "1"
-                key_a.append(bit_a)
-                key_b.append(bit_b)
-                disagreements += bit_a != bit_b
-        else:
-            bell_records.append(rec)
+    for start in range(0, config.rounds, CHUNK_ROUNDS):
+        n = min(CHUNK_ROUNDS, config.rounds - start)
+        ua, ub, us = (
+            round_uniforms(config.seed, config.run_index, party, n, start)
+            for party in (PARTY_ALICE, PARTY_BOB, PARTY_SHARED)
+        )
+        chunk = codes[start : start + n]
+        chunk[:] = _sample_chunk(tables, ua, ub, us, config.eta)
+        number_pair = chunk < _SIDES**2
+        sift_count += int(np.count_nonzero(number_pair))
+        key = number_pair & (us[:, 1] >= config.bell_sample_fraction)
+        bell_counts += np.bincount(chunk[~key], minlength=RECORD_CODES)
+        a_side, b_side = np.divmod(chunk[key], _SIDES)  # key rounds have setting pair 0
+        bits_a = (a_side >> 1) == _CLICK
+        # Anti-correlated arms: the receiver inverts its record.
+        bits_b = (b_side >> 1) != _CLICK
+        key_a += (bits_a + ord("0")).astype(np.uint8).tobytes()
+        key_b += (bits_b + ord("0")).astype(np.uint8).tobytes()
+        disagreements += int(np.count_nonzero(bits_a != bits_b))
 
-    s_estimate, s_stderr, cells = (
-        _estimate_cells(bell_records, config.backend) if bell_records else (0.0, 0.0, dict.fromkeys(_CELL_NAMES, 0))
-    )
+    s_estimate, s_stderr, cells = _estimate_cells(bell_counts, config.backend)
     s_reference = assemble_s(
         bell_terms(config.alpha, config.beta, convention=config.convention)
     )
@@ -498,8 +627,8 @@ def run_protocol(config: ProtocolConfig) -> Tuple[ProtocolResult, List[RoundReco
 
     key_length = len(key_a)
     result = ProtocolResult(
-        sifted_key_alice="".join(key_a),
-        sifted_key_bob="".join(key_b),
+        sifted_key_alice=key_a.decode("ascii"),
+        sifted_key_bob=key_b.decode("ascii"),
         sift_fraction=sift_count / config.rounds,
         s_estimate=s_estimate,
         s_stderr=s_stderr,
@@ -510,4 +639,4 @@ def run_protocol(config: ProtocolConfig) -> Tuple[ProtocolResult, List[RoundReco
         key_length=key_length,
         cell_counts=cells,
     )
-    return result, records
+    return result, Transcript(codes)

@@ -8,6 +8,13 @@ party) coordinates therefore address every draw directly, with no
 sequential state, so transcripts replay byte-for-byte and alternate
 implementations can match them given the same generator.
 
+Because a block is addressed by its counter, any run of rounds can be drawn
+on its own: ``round_uniforms(..., rounds, start)`` moves the fresh stream to
+block ``start`` with ``Philox.advance`` and returns exactly the rows that a
+single draw from round 0 would hold at ``[start, start + rounds)``.  The
+protocol samples a long run a chunk at a time this way, in bounded memory
+and with the same bytes as one whole-run draw.
+
 Slot meanings within a round's block of four uniforms:
 
     party streams (ALICE, BOB):  0 setting choice, 1 outcome draw,
@@ -39,9 +46,15 @@ def stream_key(seed: int, run_index: int, party: int) -> np.ndarray:
     return np.array([seed, run_index * 4 + party], dtype=np.uint64)
 
 
-def round_uniforms(seed: int, run_index: int, party: int, rounds: int) -> np.ndarray:
-    """(rounds, 4) array of uniforms; row r is round r's counter block."""
+def round_uniforms(
+    seed: int, run_index: int, party: int, rounds: int, start: int = 0
+) -> np.ndarray:
+    """(rounds, 4) array of uniforms; row i is round (start + i)'s counter block."""
+    if start < 0:
+        raise ValueError("start round must be non-negative")
     bitgen = np.random.Philox(key=stream_key(seed, run_index, party))
+    if start:
+        bitgen.advance(start)
     raw = bitgen.random_raw(rounds * SLOTS_PER_ROUND)
     return ((raw >> 11) * _U53).reshape(rounds, SLOTS_PER_ROUND)
 

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, and byte-stable reruns."""
 
 import csv
+import itertools
 import json
 import math
 import subprocess
@@ -127,6 +128,40 @@ def test_schema_error_exit_code_and_no_partial_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error at eve.atoms[0].weight" in err
     assert not out.exists()
+
+
+def test_direction_pair_error_names_alpha(tmp_path, capsys):
+    config = write_config(tmp_path / "c.json", {"schema_version": 1, "alpha": 0.9, "beta": 0.9})
+    assert cli.main(["run-protocol", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    assert "config error at alpha: alpha^2 + beta^2 must equal 1" in capsys.readouterr().err
+    manifest = write_config(
+        tmp_path / "m.json",
+        {"command": "run-protocol", "config": {"alpha": 0.9, "beta": 0.9}},
+    )
+    assert cli.main(["run-protocol", "--config", manifest, "--out", str(tmp_path / "o")]) == 1
+    assert "config error at config.alpha:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_transcript_write_leaves_no_output(tmp_path, monkeypatch):
+    real = cli._transcript_lines
+
+    def failing(transcript):
+        yield from itertools.islice(real(transcript), 1)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_transcript_lines", failing)
+    args = ["run-protocol", "--rounds", "70000", "--seed", "4", "--out"]
+    fresh = tmp_path / "fresh"
+    assert cli.main(args + [str(fresh)]) == 1
+    assert not fresh.exists()
+    # an earlier output set in the directory is left whole
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "manifest.json").write_text("earlier run", encoding="utf-8")
+    assert cli.main(args + [str(old)]) == 1
+    assert [p.name for p in old.iterdir()] == ["manifest.json"]
+    assert (old / "manifest.json").read_text(encoding="utf-8") == "earlier run"
 
 
 def test_unknown_config_field_is_rejected(tmp_path, capsys):

@@ -37,6 +37,22 @@ def test_transcript_is_deterministic():
     assert result_1 == result_2
 
 
+def test_transcript_reads_as_records():
+    _, transcript = run_protocol(
+        ProtocolConfig(rounds=300, seed=4, backend=Backend.DEVICE, eta=0.8)
+    )
+    records = list(transcript)
+    assert len(transcript) == 300
+    assert [rec.round_id for rec in records] == list(range(300))
+    assert transcript[-1] == records[-1]
+    assert transcript[5:8] == records[5:8]
+    assert transcript == records
+    assert transcript != records[:-1]
+    assert any(rec.alice_lost or rec.bob_lost for rec in records)
+    with pytest.raises(IndexError):
+        transcript[300]
+
+
 def test_run_index_gives_fresh_randomness():
     base = ProtocolConfig(rounds=400, seed=21)
     again = ProtocolConfig(rounds=400, seed=21, run_index=1)

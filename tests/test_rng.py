@@ -34,6 +34,17 @@ def test_counter_prefix_property():
     np.testing.assert_array_equal(long[:40], short)
 
 
+def test_chunked_draws_match_one_full_draw():
+    """Rows drawn from a start round equal the same rows of one whole draw."""
+    full = round_uniforms(17, 2, PARTY_BOB, 70000)
+    for start, rounds in ((0, 300), (300, 1), (301, 65535), (65536, 4464), (69997, 3)):
+        np.testing.assert_array_equal(
+            round_uniforms(17, 2, PARTY_BOB, rounds, start), full[start : start + rounds]
+        )
+    with pytest.raises(ValueError):
+        round_uniforms(17, 2, PARTY_BOB, 5, -1)
+
+
 def test_party_streams_are_distinct():
     rows = 200
     streams = [round_uniforms(9, 0, p, rows) for p in (PARTY_ALICE, PARTY_BOB, PARTY_SHARED)]
