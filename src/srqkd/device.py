@@ -6,6 +6,14 @@ lone click at the probe-side counter is the ``Plus`` outcome, a lone click
 at the arm-side counter is ``Minus``, and every other count pattern
 (vacuum, double clicks, coincidences) is ``Inconclusive``.
 
+The arm holds at most one photon, so an input splits as |0>|psi0> + |1>|psi1>
+(arm first, psi0 and psi1 on the other modes), and each count pattern leaves
+the remainder c0 psi0 + c1 psi1 with probability c^dagger G c, G being the
+Gram matrix of (psi0, psi1).  The coefficients (c0, c1) depend on the probe
+alone.  They come from a transfer table of count-pattern amplitudes for the
+four |probe, arm> basis inputs, expanded once at import by the splitter
+itself, which also supplies the Hong-Ou-Mandel zero at counts (1, 1).
+
 As a measurement on the arm qubit span {|0>, |1>}, the three outcomes form
 the POVM
 
@@ -28,24 +36,18 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .fock import (
+    PRUNE_EPS,
     Occupation,
     StateVector,
+    TruncationOverflow,
+    basis_state,
     drop_modes,
-    project_mode_number,
-    tensor,
     _check_mode,
 )
 from .optics import BeamSplitter, apply_beam_splitter
 
 NORM_TOL = 1e-12
 STATE_NORM_TOL = 1e-9
-
-# Exact branch tables kept by measure_device, keyed by the values of its
-# inputs (StateVector is mutable, so never by identity).  Callers that draw
-# on a fresh arm every time never hit it and would grow it without limit,
-# so it is emptied whenever it reaches BRANCH_MEMO_SIZE entries.
-BRANCH_MEMO_SIZE = 32
-_BRANCH_MEMO: Dict[tuple, List["DeviceBranch"]] = {}
 
 
 def _check_pair_normalized(c0: complex, c1: complex, what: str) -> Tuple[complex, complex]:
@@ -150,42 +152,66 @@ def classify_counts(counts: Tuple[int, int]) -> OutcomeTag:
     return OutcomeTag.INCONCLUSIVE
 
 
+# One row per count pattern, in pattern order: the outcome, the largest
+# count at one counter, and the amplitudes from |0,0>, |1,0>, |0,1>, |1,1>.
+_MIXED = [
+    apply_beam_splitter(basis_state(occ), BeamSplitter(0.5, port_a=0, port_b=1))
+    for occ in ((0, 0), (1, 0), (0, 1), (1, 1))
+]
+_TRANSFER = tuple(
+    (DeviceOutcome(classify_counts(p), p), max(p), *(mixed.amplitude(p) for mixed in _MIXED))
+    for p in sorted({p for mixed in _MIXED for p in mixed.amplitudes})
+)
+
+
+def _branch_table(state: StateVector, arm: int, probe: ProbeState):
+    """Rows ``(outcome, probability, c0, c1)`` of the patterns above 1e-14, and the arm split."""
+    _check_mode(state, arm)
+    pairs: Dict[Occupation, List[complex]] = {}  # rest -> [psi0 amplitude, psi1 amplitude]
+    gram = [0.0, 0.0, 0j]  # <psi0|psi0>, <psi1|psi1>, <psi0|psi1>
+    for occ, amp in state.amplitudes.items():
+        n = occ[arm]
+        if n > 1:
+            raise ValueError("arm mode must have at most one photon")
+        pair = pairs.setdefault(occ[:arm] + occ[arm + 1 :], [0j, 0j])
+        pair[n] = amp
+        gram[n] += abs(amp) ** 2
+        gram[2] += pair[0].conjugate() * pair[1]  # 0 until both halves are in
+    g00, g11, g01 = gram
+    if abs(g00 + g11 - 1.0) > STATE_NORM_TOL:
+        raise ValueError("input state must be normalized")
+    g0, g1, cross = probe.g0, probe.g1, 2.0 * g01
+    rows = []
+    for outcome, top, t00, t10, t01, t11 in _TRANSFER:
+        c0, c1 = g0 * t00 + g1 * t10, g0 * t01 + g1 * t11
+        prob = abs(c0) ** 2 * g00 + abs(c1) ** 2 * g11 + (c0.conjugate() * c1 * cross).real
+        if top > state.n_max and prob > PRUNE_EPS**2:
+            raise TruncationOverflow(f"counts {outcome.detector_counts} exceed n_max={state.n_max}")
+        if prob > 1e-14:
+            rows.append((outcome, prob, c0, c1))
+    return rows, pairs
+
+
+def _remainder(state: StateVector, pairs, c0: complex, c1: complex) -> StateVector:
+    """Renormalized c0 psi0 + c1 psi1 over the modes the device left."""
+    amps = {rest: c0 * a0 + c1 * a1 for rest, (a0, a1) in pairs.items()}
+    norm = math.hypot(*map(abs, amps.values()))
+    scaled = {rest: a / norm for rest, a in amps.items()}
+    return StateVector._raw(state.mode_count - 1, state.n_max, scaled)
+
+
 def analyze_device(state: StateVector, arm: int, probe: ProbeState) -> List[DeviceBranch]:
     """Every count pattern the device can produce, with exact probabilities.
 
-    The probe mode is appended, the balanced splitter is applied with the
-    probe on the flip port, and the joint photon-number statistics of the
-    two output counters are read off.  Each branch carries the renormalized
-    state of the untouched modes (the arm and probe modes are consumed).
-    Branches are ordered by count pattern so sampling is reproducible.
+    Each branch carries the renormalized state of the untouched modes (the
+    arm and probe modes are consumed).  Branches are ordered by count
+    pattern so sampling is reproducible.
     """
-    _check_mode(state, arm)
-    if abs(state.norm_sq() - 1.0) > STATE_NORM_TOL:
-        raise ValueError("input state must be normalized")
-    for occ in state.amplitudes:
-        if occ[arm] > 1:
-            raise ValueError("arm mode must have at most one photon")
-
-    probe_sv = StateVector(1, state.n_max, {(0,): probe.g0, (1,): probe.g1})
-    work = tensor(state, probe_sv)
-    probe_mode = state.mode_count
-    mixed = apply_beam_splitter(work, BeamSplitter(0.5, port_a=probe_mode, port_b=arm))
-
-    by_pattern: Dict[Tuple[int, int], Dict[Occupation, complex]] = {}
-    for occ, amp in mixed.items():
-        pattern = (occ[probe_mode], occ[arm])
-        by_pattern.setdefault(pattern, {})[occ] = amp
-
-    branches = []
-    for pattern in sorted(by_pattern):
-        amps = by_pattern[pattern]
-        sub = StateVector._raw(mixed.mode_count, mixed.n_max, dict(amps))
-        prob = sub.norm_sq()
-        if prob <= 1e-14:
-            continue
-        remainder = drop_modes(sub, (arm, probe_mode)).normalized()
-        branches.append(DeviceBranch(pattern, prob, remainder))
-    return branches
+    rows, pairs = _branch_table(state, arm, probe)
+    return [
+        DeviceBranch(out.detector_counts, p, _remainder(state, pairs, c0, c1))
+        for out, p, c0, c1 in rows
+    ]
 
 
 def measure_device(
@@ -193,31 +219,20 @@ def measure_device(
 ) -> Tuple[DeviceOutcome, StateVector]:
     """Sample one run of the device; returns the outcome and the remainder.
 
-    The remainder is the collapsed, renormalized state of the modes the
-    device did not consume (original order with the arm mode removed).
-
-    The exact branch table of :func:`analyze_device` is reused for inputs
-    of equal value (state contents, arm and probe), so a repeated draw costs
-    one uniform and a walk over the cached branches.  The returned remainder
-    may therefore be shared between calls and must not be mutated.  Invalid
-    inputs are never cached and raise ``ValueError`` on every call.
+    One uniform u picks the first of :func:`analyze_device`'s branches whose
+    running probability sum exceeds u (the last branch if none does).  Only
+    that branch's remainder is built: the collapsed, renormalized state of
+    the modes the device did not consume (original order, arm mode removed).
     """
-    key = (state.mode_count, state.n_max, tuple(state.amplitudes.items()), arm, probe.g0, probe.g1)
-    branches = _BRANCH_MEMO.get(key)
-    if branches is None:
-        branches = analyze_device(state, arm, probe)
-        if len(_BRANCH_MEMO) >= BRANCH_MEMO_SIZE:
-            _BRANCH_MEMO.clear()
-        _BRANCH_MEMO[key] = branches
+    rows, pairs = _branch_table(state, arm, probe)
     u = float(rng.random())
     acc = 0.0
-    chosen = branches[-1]
-    for branch in branches:
-        acc += branch.probability
+    for row in rows:
+        acc += row[1]
         if u < acc:
-            chosen = branch
             break
-    return DeviceOutcome(classify_counts(chosen.counts), chosen.counts), chosen.remainder
+    outcome, _, c0, c1 = row
+    return outcome, _remainder(state, pairs, c0, c1)
 
 
 def sample_number_measurement(

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from srqkd import device
+from srqkd.bell import EveAtom, EveStrategy, EveTargets, eve_channel
 from srqkd.device import (
-    BRANCH_MEMO_SIZE,
     DeviceOutcome,
     OutcomeTag,
     ProbeState,
@@ -19,8 +19,8 @@ from srqkd.device import (
     probe_for_direction,
     sample_number_measurement,
 )
-from srqkd.fock import StateVector, fidelity
-from srqkd.optics import make_source_state
+from srqkd.fock import StateVector, TruncationOverflow, drop_modes, fidelity, tensor
+from srqkd.optics import BeamSplitter, apply_beam_splitter, make_source_state
 from srqkd.rng import make_generator
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -201,7 +201,7 @@ def test_measure_device_is_deterministic_per_stream():
 
 def test_device_input_validation():
     probe = ProbeState(1.0, 0.0)
-    # a valid draw first, so measure_device's memo already holds this probe
+    # a valid draw with the same probe first; every invalid input must still raise
     measure_device(make_source_state(), 0, probe, make_generator(4, 0))
     rng = make_generator(4, 1)
     invalid = [
@@ -218,7 +218,7 @@ def test_device_input_validation():
 
 
 def reference_draw(state, arm, probe, rng):
-    """The uncached draw: one uniform walked over a fresh branch table."""
+    """The reference draw: one uniform walked over analyze_device's branches."""
     branches = analyze_device(state, arm, probe)
     u = float(rng.random())
     acc = 0.0
@@ -229,20 +229,14 @@ def reference_draw(state, arm, probe, rng):
     return branches[-1]
 
 
-def count_analyze_calls(monkeypatch):
-    calls = []
+def test_measure_device_matches_analyze_walk(monkeypatch):
+    splitter_calls = []
 
     def counted(*args):
-        calls.append(args)
-        return analyze_device(*args)
+        splitter_calls.append(args)
+        return apply_beam_splitter(*args)
 
-    monkeypatch.setattr(device, "analyze_device", counted)
-    return calls
-
-
-def test_measure_device_memo_matches_uncached_walk(monkeypatch):
-    monkeypatch.setattr(device, "_BRANCH_MEMO", {})
-    calls = count_analyze_calls(monkeypatch)
+    monkeypatch.setattr(device, "apply_beam_splitter", counted)
     pairs = [
         (make_source_state, 0, ProbeState(0.5, SQRT3_2)),
         (make_source_state, 0, ProbeState(0.6, 0.8j)),
@@ -260,23 +254,96 @@ def test_measure_device_memo_matches_uncached_walk(monkeypatch):
             expected.remainder.n_max,
         )
         assert remainder.amplitudes == expected.remainder.amplitudes
-    # one table per distinct input, built on its first draw; every later draw hit
-    assert len(calls) == len(pairs)
+    # the splitter is expanded once at import, never per draw
+    assert splitter_calls == []
 
 
-def test_measure_device_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(device, "_BRANCH_MEMO", {})
-    calls = count_analyze_calls(monkeypatch)
-    probe = ProbeState(0.8, 0.6)
-    rng = make_generator(6, 0)
-    arms = [arm_state(math.cos(t), math.sin(t)) for t in np.linspace(0.1, 1.4, 3 * BRANCH_MEMO_SIZE + 5)]
-    for arm in arms:
-        measure_device(arm, 0, probe, rng)
-        assert 1 <= len(device._BRANCH_MEMO) <= BRANCH_MEMO_SIZE
-    assert len(calls) == len(arms)
-    # the newest table is still kept after the memo has been cut back
-    measure_device(arms[-1], 0, probe, rng)
-    assert len(calls) == len(arms)
+def fock_branches(state, arm, probe):
+    """Reference route: append the probe, expand the sparse splitter, group by counts."""
+    probe_mode = state.mode_count
+    work = tensor(state, StateVector(1, state.n_max, {(0,): probe.g0, (1,): probe.g1}))
+    mixed = apply_beam_splitter(work, BeamSplitter(0.5, port_a=probe_mode, port_b=arm))
+    by_pattern = {}
+    for occ, amp in mixed.items():
+        by_pattern.setdefault((occ[probe_mode], occ[arm]), {})[occ] = amp
+    branches = []
+    for pattern in sorted(by_pattern):
+        sub = StateVector(mixed.mode_count, mixed.n_max, by_pattern[pattern])
+        prob = sub.norm_sq()
+        if prob > 1e-14:
+            branches.append((pattern, prob, drop_modes(sub, (arm, probe_mode)).normalized()))
+    return branches
+
+
+def assert_matches_fock(state, arm, probe):
+    branches = analyze_device(state, arm, probe)
+    oracle = fock_branches(state, arm, probe)
+    assert [b.counts for b in branches] == [pattern for pattern, _, _ in oracle]
+    for branch, (_, prob, remainder) in zip(branches, oracle):
+        assert branch.probability == pytest.approx(prob, abs=1e-12)
+        assert (branch.remainder.mode_count, branch.remainder.n_max) == (
+            remainder.mode_count,
+            remainder.n_max,
+        )
+        assert fidelity(branch.remainder, remainder) >= 1.0 - 1e-12
+
+
+def random_probe(rng):
+    direction = random_direction(rng)
+    return ProbeState(direction.c0, direction.c1)
+
+
+def test_branch_table_matches_fock_oracle():
+    rng = np.random.default_rng(53)
+    # probes with g0 = 0 and with g1 = 0, then random complex ones
+    edge_probes = [
+        ProbeState(0.0, 1.0), ProbeState(0.0, 1j), ProbeState(1.0, 0.0), ProbeState(-1j, 0.0)
+    ]
+    probes = edge_probes + [random_probe(rng) for _ in range(4)]
+    for probe in probes:
+        for arm in (0, 1):
+            assert_matches_fock(make_source_state(), arm, probe)
+    for _ in range(50):
+        d = random_direction(rng)
+        for probe in [random_probe(rng)] + edge_probes:
+            assert_matches_fock(arm_state(d.c0, d.c1), 0, probe)
+
+    # arm in the middle, a spectator mode up to occupation 2, complex amplitudes
+    occs = [(s, a, t) for s in range(3) for a in range(2) for t in range(2)]
+    z = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
+    z /= np.linalg.norm(z)
+    spectator = StateVector(3, 2, {occ: complex(amp) for occ, amp in zip(occs, z)})
+    for probe in probes:
+        assert_matches_fock(spectator, 1, probe)
+
+    atoms = (
+        EveAtom(0.6, SuperpositionCoeffs(0.6, 0.8), SuperpositionCoeffs(0.0, 1.0)),
+        EveAtom(0.4, SuperpositionCoeffs(1.0, 0.0), SuperpositionCoeffs(0.8, 0.6j)),
+    )
+    ensemble = eve_channel(EveStrategy(EveTargets.BOTH, atoms), make_source_state())
+    assert len(ensemble.members) > 2
+    for _, member in ensemble.members:
+        for arm in (0, 1):
+            for probe in probes:
+                assert_matches_fock(member, arm, probe)
+
+
+def test_truncation_overflow_is_preserved():
+    photon = StateVector(1, 1, {(1,): 1.0})
+    two_photon_probe = ProbeState(0.0, 1.0)
+    with pytest.raises(TruncationOverflow):
+        fock_branches(photon, 0, two_photon_probe)
+    with pytest.raises(TruncationOverflow):
+        analyze_device(photon, 0, two_photon_probe)
+    with pytest.raises(TruncationOverflow):
+        measure_device(photon, 0, two_photon_probe, make_generator(8, 0))
+    # no two-photon pattern when the probe or the arm has no one-photon part
+    vacuum = StateVector(1, 1, {(0,): 1.0})
+    for state, probe in ((photon, ProbeState(1.0, 0.0)), (vacuum, two_photon_probe)):
+        assert_matches_fock(state, 0, probe)
+        outcome, remainder = measure_device(state, 0, probe, make_generator(8, 1))
+        assert sum(outcome.detector_counts) == 1
+        assert remainder.n_max == 1
 
 
 def test_classify_counts_table():
