@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .device import NORM_TOL, SuperpositionCoeffs
 from .fock import (
@@ -117,7 +117,9 @@ class FieldError(ValueError):
 
 
 def _check_direction_pair(alpha: float, beta: float) -> None:
-    if abs(alpha * alpha + beta * beta - 1.0) > 1e-9:
+    # Same tolerance as SuperpositionCoeffs, so a pair that passes here
+    # yields a valid direction; "not <=" also rejects NaN.
+    if not abs(alpha * alpha + beta * beta - 1.0) <= NORM_TOL:
         raise FieldError("alpha", "alpha^2 + beta^2 must equal 1")
 
 

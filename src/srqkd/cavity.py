@@ -11,9 +11,9 @@ Mode layout of the joint state: (photon A, photon B, atom A, atom B),
 with atom occupation 0 = ground, 1 = excited.
 
 Phase convention: the transfer tags each excitation with -i.  The Ramsey
-pulse in :func:`deterministic_measure` is phased to absorb that factor,
-i.e. "measure direction (c0, c1)" projects the atom onto c0|g> - i c1|e>,
-the transfer image of the photonic direction.  Every expectation on the
+readout is phased to absorb that factor: :func:`_measurement_image` maps
+"measure direction (c0, c1)" to the atom direction c0|g> - i c1|e>, the
+transfer image of the photonic direction.  Every expectation on the
 transferred shared state is insensitive to this choice (the -i is global
 there); for product inputs it keeps the atom statistics exactly equal to
 the photonic ones.
@@ -25,19 +25,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from .bell import BellTerms, Convention, Party, superposition_direction
-from .device import NORM_TOL, OutcomeTag, SuperpositionCoeffs, _check_pair_normalized
+from .device import SuperpositionCoeffs
 from .fock import (
     Occupation,
     PRUNE_EPS,
     StateVector,
     TruncationOverflow,
-    add,
     project_mode_number,
     project_mode_qubit,
-    scale,
     tensor,
 )
 from .optics import make_source_state
@@ -46,19 +42,6 @@ PHOTON_MODE = {Party.A: 0, Party.B: 1}
 ATOM_MODE = {Party.A: 2, Party.B: 3}
 
 FULL_TRANSFER_ANGLE = math.pi / 2
-
-
-@dataclass(frozen=True)
-class AtomState:
-    """Normalized two-level atom amplitude pair (ground, excited)."""
-
-    cg: complex
-    ce: complex
-
-    def __post_init__(self):
-        cg, ce = _check_pair_normalized(self.cg, self.ce, "atom state")
-        object.__setattr__(self, "cg", cg)
-        object.__setattr__(self, "ce", ce)
 
 
 @dataclass(frozen=True)
@@ -136,16 +119,6 @@ def transfer_shared_state(photon_pair: StateVector) -> StateVector:
     return jc_evolve(jc_evolve(joint, Party.A, half), Party.B, half)
 
 
-def ramsey_rotation(atom: AtomState, direction: SuperpositionCoeffs) -> AtomState:
-    """Unitary pulse mapping the direction to |e> and its partner to |g>."""
-    d0, d1 = direction.c0, direction.c1
-    # Orthogonal partner (conj(c1), -conj(c0)); this choice makes the pulse
-    # for direction (0, 1) the exact identity.
-    out_e = d0.conjugate() * atom.cg + d1.conjugate() * atom.ce
-    out_g = d1 * atom.cg - d0 * atom.ce
-    return AtomState(out_g, out_e)
-
-
 def _measurement_image(direction: SuperpositionCoeffs) -> Tuple[complex, complex]:
     return direction.c0, -1j * direction.c1
 
@@ -187,28 +160,3 @@ def cavity_bell_terms(
         num_sup=term(None, dir_b),
         num_num=term(None, None),
     )
-
-
-def deterministic_measure(
-    joint: StateVector,
-    party: Party,
-    direction: SuperpositionCoeffs,
-    rng: np.random.Generator,
-) -> Tuple[OutcomeTag, StateVector]:
-    """Two-outcome Ramsey-plus-ionization readout of one party's atom.
-
-    Projects the atom onto the transfer image of the requested photonic
-    direction (Plus) or its complement (Minus); never inconclusive.  The
-    returned joint state keeps all four modes, with the atom collapsed.
-    """
-    if abs(joint.norm_sq() - 1.0) > 1e-9:
-        raise ValueError("joint state must be normalized")
-    am = ATOM_MODE[party]
-    c0, c1 = _measurement_image(direction)
-    plus = project_mode_qubit(joint, am, c0, c1)
-    minus = add(joint, scale(plus, -1.0))
-    p_plus = plus.norm_sq()
-    u = float(rng.random())
-    if u < p_plus:
-        return OutcomeTag.PLUS, plus.normalized()
-    return OutcomeTag.MINUS, minus.normalized()

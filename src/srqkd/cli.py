@@ -201,7 +201,10 @@ def _as_int(value, path: str, minimum: Optional[int] = None) -> int:
 def _as_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, "expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise SchemaError(path, "must be finite")
     return out
@@ -297,7 +300,7 @@ def _load_config_object(path_str: str, command: str) -> Tuple[dict, str]:
         raise SchemaError("<config>", f"cannot read {path_str}: {err}") from err
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed, or an integer over the digit limit
         raise SchemaError("<config>", f"invalid JSON: {err}") from err
     obj = _as_object(data, "<config>")
     if "command" in obj or "config" in obj:
@@ -579,14 +582,15 @@ def cmd_eve_scan(args: argparse.Namespace) -> int:
     rows = []
     for index, (targets, theta, phi) in enumerate(plans):
         strategy = IDENTITY_STRATEGY if targets == "none" else _scan_strategy(theta, phi)
-        analytic = s_with_eve(strategy, alpha, beta, convention)
         run_values = dict(values)
         protocol_values = {
             name: run_values[name] for name in _PROTOCOL_FIELDS if name in run_values
         }
         protocol_values["eve"] = strategy
         protocol_values["run_index"] = index
+        # Built before s_with_eve, so an invalid field is a config error.
         config = _build_protocol_config(protocol_values, prefix)
+        analytic = s_with_eve(strategy, alpha, beta, convention)
         result, _ = run_protocol(config)
         rows.append(
             (

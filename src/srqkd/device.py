@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .fock import (
     StateVector,
     TruncationOverflow,
     basis_state,
-    drop_modes,
     _check_mode,
 )
 from .optics import BeamSplitter, apply_beam_splitter
@@ -233,46 +232,3 @@ def measure_device(
             break
     outcome, _, c0, c1 = row
     return outcome, _remainder(state, pairs, c0, c1)
-
-
-def sample_number_measurement(
-    state: StateVector, modes: Sequence[int], rng: np.random.Generator
-) -> Tuple[Tuple[int, ...], StateVector]:
-    """Born-rule photon counting on the given modes.
-
-    Returns the observed counts (ordered like ``modes``) and the collapsed,
-    renormalized state of the remaining modes; the counted modes are
-    consumed.  Patterns are visited in sorted order for reproducibility.
-    """
-    modes = tuple(modes)
-    for m in modes:
-        _check_mode(state, m)
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate mode in measurement")
-    if abs(state.norm_sq() - 1.0) > STATE_NORM_TOL:
-        raise ValueError("input state must be normalized")
-    if not modes:
-        return (), state
-
-    by_pattern: Dict[Tuple[int, ...], Dict[Occupation, complex]] = {}
-    for occ, amp in state.items():
-        pattern = tuple(occ[m] for m in modes)
-        by_pattern.setdefault(pattern, {})[occ] = amp
-
-    patterns = sorted(by_pattern)
-    probs = [
-        sum(abs(a) ** 2 for a in by_pattern[p].values()) for p in patterns
-    ]
-    u = float(rng.random())
-    acc = 0.0
-    chosen = patterns[-1]
-    for pattern, prob in zip(patterns, probs):
-        acc += prob
-        if u < acc:
-            chosen = pattern
-            break
-    sub = StateVector._raw(state.mode_count, state.n_max, dict(by_pattern[chosen]))
-    collapsed = drop_modes(sub, modes)
-    if collapsed.mode_count == 0:
-        return chosen, StateVector._raw(0, state.n_max, {(): 1.0})
-    return chosen, collapsed.normalized()

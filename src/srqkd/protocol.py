@@ -57,7 +57,6 @@ from .bell import (
 )
 from .cavity import ATOM_MODE, transfer_shared_state, _measurement_image
 from .device import (
-    DeviceOutcome,
     OutcomeTag,
     SuperpositionCoeffs,
     analyze_device,
@@ -241,32 +240,6 @@ def _thin_count(n: int, eta: float, uniforms: Sequence[float]) -> int:
     return sum(1 for i in range(n) if uniforms[i] < eta)
 
 
-def apply_loss(outcome, eta: float, rng: np.random.Generator):
-    """Detector inefficiency applied to one observed outcome.
-
-    Each real photon is missed independently with probability 1 - eta:
-    Click outcomes may demote to NoClick, and device detector counts are
-    thinned before reclassification.  Plus/Minus outcomes of projective
-    readouts carry no photon-counting record and pass through unchanged.
-    eta = 1 is the identity.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if isinstance(outcome, DeviceOutcome):
-        ca, cb = outcome.detector_counts
-        draws = [float(rng.random()) for _ in range(ca + cb)]
-        ka = _thin_count(ca, eta, draws[:ca])
-        kb = _thin_count(cb, eta, draws[ca:])
-        return DeviceOutcome(classify_counts((ka, kb)), (ka, kb))
-    if outcome is RoundOutcome.CLICK:
-        if eta < 1.0 and float(rng.random()) >= eta:
-            return RoundOutcome.NO_CLICK
-        return RoundOutcome.CLICK
-    if isinstance(outcome, RoundOutcome):
-        return outcome
-    raise TypeError(f"unsupported outcome {outcome!r}")
-
-
 # ---------------------------------------------------------------------------
 # Per-(member, setting) outcome tables
 
@@ -315,45 +288,19 @@ def _device_branches(
     ]
 
 
-def _cavity_branches(
-    joint: StateVector, party: Party, tag: SettingTag, direction: SuperpositionCoeffs
-) -> List[Tuple[object, str, float, StateVector]]:
-    mode = ATOM_MODE[party]
-    if tag is SettingTag.NUMBER:
-        out = []
-        for n in (0, 1):
-            sub = project_mode_number(joint, mode, n)
-            p = sub.norm_sq()
-            if p > _BRANCH_EPS:
-                out.append((n, _KIND_NUMBER, p, sub.normalized()))
-        return out
-    from .fock import add, project_mode_qubit, scale
-
-    c0, c1 = _measurement_image(direction)
-    plus = project_mode_qubit(joint, mode, c0, c1)
-    minus = add(joint, scale(plus, -1.0))
-    out = []
-    for label, branch in ((OutcomeTag.PLUS, plus), (OutcomeTag.MINUS, minus)):
-        p = branch.norm_sq()
-        if p > _BRANCH_EPS:
-            out.append((label, _KIND_PROJECTIVE, p, branch.normalized()))
-    return out
-
-
 def _party_branches(
     state: StateVector,
     backend: Backend,
-    party: Party,
     tag: SettingTag,
     direction: SuperpositionCoeffs,
     mode: int,
 ) -> List[Tuple[object, str, float, StateVector]]:
-    if backend is Backend.CAVITY:
-        return _cavity_branches(state, party, tag, direction)
     if tag is SettingTag.NUMBER:
         return _number_branches(state, mode)
     if backend is Backend.DEVICE:
         return _device_branches(state, mode, direction)
+    if backend is Backend.CAVITY:
+        direction = SuperpositionCoeffs(*_measurement_image(direction))
     return _projective_branches(state, mode, direction)
 
 
@@ -372,9 +319,10 @@ def _side_codes(label, kind: str, eta: float) -> Tuple[int, ...]:
     """Recorded side code of a branch with true label ``label``, per loss pattern.
 
     Bit j of a pattern is set when loss draw j (slot 2 + j) is u >= eta and
-    so misses the photon it thins.  As in :func:`apply_loss`, a number
-    branch's photons take the draws in order, and a device branch's second
-    detector count takes the draws after those of its first.
+    so misses the photon it thins.  A number branch's photons take the
+    draws in order, and a device branch's second detector count takes the
+    draws after those of its first.  Plus/Minus outcomes of projective
+    readouts carry no photon count and pass through; eta = 1 is the identity.
     """
     codes = []
     for pattern in range(4):
@@ -425,20 +373,19 @@ def _build_tables(config: ProtocolConfig) -> _Tables:
     dir_b = superposition_direction(Party.B, config.alpha, config.beta, config.convention)
     cavity = config.backend is Backend.CAVITY
     alice_mode = ATOM_MODE[Party.A] if cavity else 0
-    # Alice's arm is consumed by her measurement, so Bob's is what remains.
-    bob_mode = ATOM_MODE[Party.B] if cavity else 0
+    # Alice's measurement consumes her mode, an atom like a photon arm, so
+    # Bob's mode is one lower in what remains.
+    bob_mode = ATOM_MODE[Party.B] - 1 if cavity else 0
 
     rows = []  # per row: [(cum, side codes, [(cum, side codes), ...] for Bob), ...]
     for _, member in ensemble.members:
         root = transfer_shared_state(member) if cavity else member
         for sa in _SETTINGS:
-            a_branches = _party_branches(root, config.backend, Party.A, sa, dir_a, alice_mode)
+            a_branches = _party_branches(root, config.backend, sa, dir_a, alice_mode)
             for sb in _SETTINGS:
                 alice = []
                 for a_cum, a_label, a_kind, collapsed in _cumulative(a_branches):
-                    b_branches = _party_branches(
-                        collapsed, config.backend, Party.B, sb, dir_b, bob_mode
-                    )
+                    b_branches = _party_branches(collapsed, config.backend, sb, dir_b, bob_mode)
                     bob = [
                         (b_cum, _side_codes(b_label, b_kind, config.eta))
                         for b_cum, b_label, b_kind, _ in _cumulative(b_branches)

@@ -1,4 +1,4 @@
-"""Cavity transfer and atom-side readout tests."""
+"""Cavity transfer and atom-side oracle tests."""
 
 import math
 
@@ -10,21 +10,14 @@ from srqkd.cavity import (
     ATOM_MODE,
     FULL_TRANSFER_ANGLE,
     PHOTON_MODE,
-    AtomState,
     JCParams,
     cavity_bell_terms,
-    deterministic_measure,
     jc_evolve,
     make_joint_state,
-    ramsey_rotation,
     transfer_shared_state,
 )
-from srqkd.device import OutcomeTag, SuperpositionCoeffs
 from srqkd.fock import StateVector, TruncationOverflow, fidelity
 from srqkd.optics import make_source_state
-from srqkd.rng import make_generator
-
-SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
 def joint(amplitudes):
@@ -113,65 +106,6 @@ def test_joint_state_layout_checks():
         jc_evolve(StateVector(2, 2, {(0, 0): 1.0}), Party.A, JCParams(0.1))
     with pytest.raises(ValueError):
         JCParams(-0.1)
-
-
-def test_ramsey_pulse_examples():
-    atom = AtomState(0.6, 0.8)
-    # direction (0, 1) is the identity pulse
-    out = ramsey_rotation(atom, SuperpositionCoeffs(0.0, 1.0))
-    assert out.cg == pytest.approx(0.6, abs=1e-12)
-    assert out.ce == pytest.approx(0.8, abs=1e-12)
-    # direction (1, 0) exchanges the roles
-    out = ramsey_rotation(atom, SuperpositionCoeffs(1.0, 0.0))
-    assert out.ce == pytest.approx(0.6, abs=1e-12)
-    assert out.cg == pytest.approx(-0.8, abs=1e-12)
-    inv = 1.0 / math.sqrt(2.0)
-    out = ramsey_rotation(atom, SuperpositionCoeffs(inv, inv))
-    assert out.ce == pytest.approx((0.6 + 0.8) * inv, abs=1e-12)
-    assert out.cg == pytest.approx((0.6 - 0.8) * inv, abs=1e-12)
-
-
-def test_ramsey_pulse_is_unitary():
-    rng = np.random.default_rng(89)
-    for _ in range(20):
-        z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        atom_vec = z[:2] / np.linalg.norm(z[:2])
-        dir_vec = z[2:] / np.linalg.norm(z[2:])
-        atom = AtomState(complex(atom_vec[0]), complex(atom_vec[1]))
-        out = ramsey_rotation(atom, SuperpositionCoeffs(complex(dir_vec[0]), complex(dir_vec[1])))
-        assert abs(out.cg) ** 2 + abs(out.ce) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_deterministic_measure_has_no_inconclusive_branch():
-    # ground atom never fires for the excited-state direction
-    state = joint({(0, 0, 0, 0): 1.0})
-    tag, collapsed = deterministic_measure(
-        state, Party.A, SuperpositionCoeffs(0.0, 1.0), make_generator(17, 0)
-    )
-    assert tag is OutcomeTag.MINUS
-    assert fidelity(collapsed, state) > 1.0 - 1e-12
-    # a transferred single photon always fires for it
-    transferred = transfer_shared_state(StateVector(2, 2, {(1, 0): 1.0}))
-    tag, _ = deterministic_measure(
-        transferred, Party.A, SuperpositionCoeffs(0.0, 1.0), make_generator(17, 1)
-    )
-    assert tag is OutcomeTag.PLUS
-
-
-def test_repeated_measurement_is_stable():
-    rng = make_generator(19, 0)
-    state = transfer_shared_state(make_source_state())
-    direction = SuperpositionCoeffs(SQRT3_2, 0.5)
-    tag_1, collapsed = deterministic_measure(state, Party.A, direction, rng)
-    tag_2, again = deterministic_measure(collapsed, Party.A, direction, rng)
-    assert tag_1 is tag_2
-    assert fidelity(collapsed, again) > 1.0 - 1e-12
-
-
-def test_measure_requires_normalized_input():
-    state = joint({(0, 0, 0, 0): 0.5})
-    with pytest.raises(ValueError):
-        deterministic_measure(state, Party.A, SuperpositionCoeffs(1.0, 0.0), make_generator(1, 0))
 
 
 def test_atom_side_terms_match_photonic_oracle():

@@ -143,6 +143,27 @@ def test_direction_pair_error_names_alpha(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run-protocol", "eve-scan"])
+def test_direction_pair_off_by_1e_10_is_a_config_error(tmp_path, capsys, command):
+    # within 1e-9 of a unit pair, but not within the 1e-12 a direction needs
+    config = write_config(tmp_path / "c.json", {"alpha": 0.6, "beta": 0.8000000001})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 1
+    assert "config error at alpha:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_json_integers_are_config_errors(tmp_path, capsys):
+    # above the float range, and above the interpreter's integer digit limit
+    for digits, where in ((400, "eta: must be finite"), (5000, "<config>: invalid JSON")):
+        config = tmp_path / "c.json"
+        config.write_text('{"eta": 1' + "0" * digits + "}", encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["run-protocol", "--config", str(config), "--out", str(out)]) == 1
+        assert f"config error at {where}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_failed_transcript_write_leaves_no_output(tmp_path, monkeypatch):
     real = cli._transcript_lines
 

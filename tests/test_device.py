@@ -17,7 +17,6 @@ from srqkd.device import (
     device_povm,
     measure_device,
     probe_for_direction,
-    sample_number_measurement,
 )
 from srqkd.fock import StateVector, TruncationOverflow, drop_modes, fidelity, tensor
 from srqkd.optics import BeamSplitter, apply_beam_splitter, make_source_state
@@ -358,27 +357,3 @@ def test_outcome_carries_true_counts():
     outcome, _ = measure_device(make_source_state(), 0, probe, make_generator(2, 0))
     assert isinstance(outcome, DeviceOutcome)
     assert classify_counts(outcome.detector_counts) is outcome.tag
-
-
-def test_number_sampling_statistics_and_collapse():
-    rng = make_generator(77, 0)
-    counts = {}
-    draws = 4000
-    for _ in range(draws):
-        pattern, collapsed = sample_number_measurement(make_source_state(), (0,), rng)
-        counts[pattern] = counts.get(pattern, 0) + 1
-        if pattern == (1,):
-            # Alice holds the photon: Bob's arm collapses to vacuum
-            assert abs(collapsed.amplitude((0,))) == pytest.approx(1.0, abs=1e-12)
-        else:
-            assert abs(collapsed.amplitude((1,))) == pytest.approx(1.0, abs=1e-12)
-    sigma = math.sqrt(0.25 / draws)
-    assert abs(counts[(1,)] / draws - 0.5) < 5 * sigma
-
-
-def test_number_sampling_consumes_all_modes():
-    pattern, rest = sample_number_measurement(make_source_state(), (0, 1), make_generator(3, 1))
-    assert sorted(pattern) == [0, 1]
-    assert rest.mode_count == 0
-    with pytest.raises(ValueError):
-        sample_number_measurement(make_source_state(), (0, 0), make_generator(3, 2))

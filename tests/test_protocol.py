@@ -1,23 +1,35 @@
 """End-to-end protocol runs, the S estimator, and the loss model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from srqkd.bell import EveAtom, EveStrategy, EveTargets, SettingTag
-from srqkd.device import DeviceOutcome, OutcomeTag, SuperpositionCoeffs, classify_counts
+from srqkd import device, protocol
+from srqkd.bell import (
+    IDENTITY_STRATEGY,
+    Convention,
+    EveAtom,
+    EveStrategy,
+    EveTargets,
+    FieldError,
+    Party,
+    SettingTag,
+)
+from srqkd.cavity import ATOM_MODE, transfer_shared_state
+from srqkd.device import OutcomeTag, SuperpositionCoeffs
 from srqkd.protocol import (
     Backend,
     ProtocolConfig,
     RoundOutcome,
     RoundRecord,
     Verdict,
-    apply_loss,
     estimate_s,
     run_protocol,
 )
-from srqkd.rng import make_generator
+from srqkd.fock import StateVector
+from srqkd.optics import make_source_state
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -71,6 +83,81 @@ def test_ideal_and_cavity_transcripts_coincide():
     assert records_i == records_c
     assert result_i.sifted_key_alice == result_c.sifted_key_alice
     assert result_i.s_estimate == pytest.approx(result_c.s_estimate, abs=1e-12)
+
+
+TABLE_EAVESDROPPERS = [
+    IDENTITY_STRATEGY,
+    EveStrategy(
+        EveTargets.ARM_A,
+        (EveAtom(1.0, SuperpositionCoeffs(0.0, 1.0), SuperpositionCoeffs(1.0, 0.0)),),
+    ),
+    EveStrategy(
+        EveTargets.ARM_B,
+        (EveAtom(1.0, SuperpositionCoeffs(1.0, 0.0), SuperpositionCoeffs(0.6, 0.8j)),),
+    ),
+    EveStrategy(
+        EveTargets.BOTH,
+        (
+            EveAtom(0.6, SuperpositionCoeffs(0.6, 0.8), SuperpositionCoeffs(0.0, 1.0)),
+            EveAtom(0.4, SuperpositionCoeffs(1.0, 0.0), SuperpositionCoeffs(0.8, 0.6j)),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_cavity_tables_equal_ideal_tables(convention):
+    """The cavity backend reads its atoms with the ideal branch builders, so
+    its exact tables are the ideal ones bit for bit, not merely close."""
+    for eta in (1.0, 0.7):
+        for eve in TABLE_EAVESDROPPERS:
+            config = ProtocolConfig(rounds=1, seed=0, eta=eta, eve=eve, convention=convention)
+            ideal = protocol._build_tables(config)
+            cavity = protocol._build_tables(replace(config, backend=Backend.CAVITY))
+            for name, a, b in zip(ideal._fields, ideal, cavity):
+                assert np.array_equal(a, b), (eta, eve.targets, name)
+
+
+def test_number_click_on_arm_a_leaves_arm_b_empty():
+    """Alice holds the photon exactly when Bob's arm (or atom) is vacuum."""
+    photons = make_source_state()
+    atoms = transfer_shared_state(photons)
+    any_dir = SuperpositionCoeffs(0.6, 0.8)
+    # Alice's mode is consumed, so Bob's is one lower in the remainder.
+    for backend, state, alice_mode, bob_mode in (
+        (Backend.IDEAL, photons, 0, 0),
+        (Backend.CAVITY, atoms, ATOM_MODE[Party.A], ATOM_MODE[Party.B] - 1),
+    ):
+        branches = protocol._party_branches(state, backend, NUM, any_dir, alice_mode)
+        assert [label for label, *_ in branches] == [0, 1]
+        for n, kind, p, rest in branches:
+            assert kind == protocol._KIND_NUMBER
+            assert p == pytest.approx(0.5, abs=1e-12)
+            assert rest.mode_count == state.mode_count - 1
+            assert {occ[bob_mode] for occ, amp in rest.items() if abs(amp) > 1e-12} == {1 - n}
+
+
+def test_cavity_superposition_branches_are_conclusive():
+    """Atom readout has two outcomes, Plus and Minus, and never an inconclusive one."""
+    shared = transfer_shared_state(make_source_state())
+    ground = StateVector(4, 2, {(0, 0, 0, 0): 1.0})
+    excited = transfer_shared_state(StateVector(2, 2, {(1, 0): 1.0}))
+    mode = ATOM_MODE[Party.A]
+    excited_dir = SuperpositionCoeffs(0.0, 1.0)
+    # the ground atom never fires for the excited-state direction, and a
+    # transferred single photon always does
+    for state, only in ((ground, OutcomeTag.MINUS), (excited, OutcomeTag.PLUS)):
+        branches = protocol._party_branches(state, Backend.CAVITY, SUP, excited_dir, mode)
+        assert [(label, kind) for label, kind, *_ in branches] == [
+            (only, protocol._KIND_PROJECTIVE)
+        ]
+        assert branches[0][2] == pytest.approx(1.0, abs=1e-12)
+    for c0, c1 in ((SQRT3_2, 0.5), (0.6, 0.8j), (1.0, 0.0)):
+        d = SuperpositionCoeffs(c0, c1)
+        branches = protocol._party_branches(shared, Backend.CAVITY, SUP, d, mode)
+        assert {label for label, *_ in branches} <= {OutcomeTag.PLUS, OutcomeTag.MINUS}
+        assert {kind for _, kind, *_ in branches} == {protocol._KIND_PROJECTIVE}
+        assert sum(p for _, _, p, _ in branches) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sift_fraction_near_one_quarter():
@@ -162,8 +249,11 @@ def test_insufficient_data_verdict():
 def test_config_validation():
     with pytest.raises(ValueError, match="rounds"):
         ProtocolConfig(rounds=0, seed=1)
-    with pytest.raises(ValueError, match="alpha"):
-        ProtocolConfig(rounds=10, seed=1, alpha=0.9, beta=0.9)
+    # NaN, and a pair off by more than the direction tolerance of 1e-12
+    for alpha, beta in ((0.9, 0.9), (math.nan, 0.5), (0.6, math.nan), (0.6, 0.8000000001)):
+        with pytest.raises(FieldError, match="alpha") as info:
+            ProtocolConfig(rounds=10, seed=1, alpha=alpha, beta=beta)
+        assert info.value.field == "alpha"
     with pytest.raises(ValueError, match="eta"):
         ProtocolConfig(rounds=10, seed=1, eta=0.0)
     with pytest.raises(ValueError, match="eta"):
@@ -180,44 +270,48 @@ def test_config_validation():
         ProtocolConfig(rounds=10, seed=2**64)
 
 
-def test_loss_identity_and_passthrough():
-    rng = make_generator(3, 0)
-    assert apply_loss(RoundOutcome.CLICK, 1.0, rng) is RoundOutcome.CLICK
-    assert apply_loss(RoundOutcome.NO_CLICK, 0.3, rng) is RoundOutcome.NO_CLICK
-    # projective readouts carry no photon count, loss cannot touch them
-    assert apply_loss(RoundOutcome.PLUS, 0.3, rng) is RoundOutcome.PLUS
-    assert apply_loss(RoundOutcome.MINUS, 0.3, rng) is RoundOutcome.MINUS
-    full = DeviceOutcome(OutcomeTag.INCONCLUSIVE, (1, 1))
-    assert apply_loss(full, 1.0, rng) == full
-    with pytest.raises(ValueError):
-        apply_loss(RoundOutcome.CLICK, 0.0, rng)
-    with pytest.raises(TypeError):
-        apply_loss("click", 0.5, rng)
+CLICK, NO_CLICK = RoundOutcome.CLICK, RoundOutcome.NO_CLICK
+PLUS, MINUS, INC = RoundOutcome.PLUS, RoundOutcome.MINUS, RoundOutcome.INCONCLUSIVE
+
+# Recorded (outcome, lost) at eta < 1 for loss patterns 0-3, where bit j of
+# a pattern means loss draw j misses the photon it thins.
+NUMBER_LOSS = {
+    0: [(NO_CLICK, False)] * 4,
+    1: [(CLICK, False), (NO_CLICK, True), (CLICK, False), (NO_CLICK, True)],
+    2: [(CLICK, False), (CLICK, True), (CLICK, True), (NO_CLICK, True)],
+}
+# A device branch's first count takes the first draws, its second the rest.
+DEVICE_LOSS = {
+    (0, 0): [(INC, False)] * 4,
+    (1, 0): [(PLUS, False), (INC, True), (PLUS, False), (INC, True)],
+    (0, 1): [(MINUS, False), (INC, True), (MINUS, False), (INC, True)],
+    (2, 0): [(INC, False), (PLUS, True), (PLUS, True), (INC, True)],
+    (0, 2): [(INC, False), (MINUS, True), (MINUS, True), (INC, True)],
+    # never leaves the splitter (Hong-Ou-Mandel), but thins like any pair
+    (1, 1): [(INC, False), (MINUS, True), (PLUS, True), (INC, True)],
+}
 
 
-def test_loss_thins_clicks_at_the_right_rate():
-    rng = make_generator(3, 1)
-    eta = 0.5
-    n = 20000
-    kept = sum(
-        apply_loss(RoundOutcome.CLICK, eta, rng) is RoundOutcome.CLICK for _ in range(n)
-    )
-    sigma = math.sqrt(eta * (1 - eta) / n)
-    assert abs(kept / n - eta) < 4 * sigma
+def decoded_sides(label, kind, eta):
+    return [
+        (list(RoundOutcome)[code >> 1], bool(code & 1))
+        for code in protocol._side_codes(label, kind, eta)
+    ]
 
 
-def test_loss_reclassifies_device_counts():
-    rng = make_generator(3, 2)
-    eta = 0.5
-    start = DeviceOutcome(OutcomeTag.INCONCLUSIVE, (1, 1))
-    seen = set()
-    for _ in range(500):
-        out = apply_loss(start, eta, rng)
-        assert classify_counts(out.detector_counts) is out.tag
-        assert out.detector_counts[0] <= 1 and out.detector_counts[1] <= 1
-        seen.add(out.detector_counts)
-    # dropping exactly one photon promotes the pattern to a conclusive one
-    assert (1, 0) in seen and (0, 1) in seen and (0, 0) in seen
+def test_side_codes_cover_every_label_and_loss_pattern():
+    table_counts = {outcome.detector_counts for outcome, *_ in device._TRANSFER}
+    assert table_counts <= set(DEVICE_LOSS)
+    cases = [(n, protocol._KIND_NUMBER, sides) for n, sides in NUMBER_LOSS.items()]
+    cases += [(c, protocol._KIND_DEVICE, sides) for c, sides in DEVICE_LOSS.items()]
+    cases += [
+        (tag, protocol._KIND_PROJECTIVE, [(out, False)] * 4)
+        for tag, out in ((OutcomeTag.PLUS, PLUS), (OutcomeTag.MINUS, MINUS))
+    ]
+    for label, kind, lossy in cases:
+        assert decoded_sides(label, kind, 0.7) == lossy, label
+        # eta = 1 records the true label whatever the loss draws
+        assert decoded_sides(label, kind, 1.0) == [lossy[0]] * 4, label
 
 
 def test_key_disagreement_tracks_detector_loss():
