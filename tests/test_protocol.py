@@ -299,19 +299,39 @@ def decoded_sides(label, kind, eta):
     ]
 
 
-def test_side_codes_cover_every_label_and_loss_pattern():
-    table_counts = {outcome.detector_counts for outcome, *_ in device._TRANSFER}
-    assert table_counts <= set(DEVICE_LOSS)
+def loss_cases():
     cases = [(n, protocol._KIND_NUMBER, sides) for n, sides in NUMBER_LOSS.items()]
     cases += [(c, protocol._KIND_DEVICE, sides) for c, sides in DEVICE_LOSS.items()]
     cases += [
         (tag, protocol._KIND_PROJECTIVE, [(out, False)] * 4)
         for tag, out in ((OutcomeTag.PLUS, PLUS), (OutcomeTag.MINUS, MINUS))
     ]
-    for label, kind, lossy in cases:
-        assert decoded_sides(label, kind, 0.7) == lossy, label
+    return cases
+
+
+def test_loss_identity_and_passthrough():
+    for label, kind, lossy in loss_cases():
         # eta = 1 records the true label whatever the loss draws
         assert decoded_sides(label, kind, 1.0) == [lossy[0]] * 4, label
+    # projective readouts carry no photon count, loss cannot touch them;
+    # nor can it touch a branch without photons
+    for label, kind, out in (
+        (OutcomeTag.PLUS, protocol._KIND_PROJECTIVE, PLUS),
+        (OutcomeTag.MINUS, protocol._KIND_PROJECTIVE, MINUS),
+        (0, protocol._KIND_NUMBER, NO_CLICK),
+        ((0, 0), protocol._KIND_DEVICE, INC),
+    ):
+        assert decoded_sides(label, kind, 0.3) == [(out, False)] * 4, label
+
+
+def test_loss_reclassifies_device_counts():
+    table_counts = {outcome.detector_counts for outcome, *_ in device._TRANSFER}
+    assert table_counts <= set(DEVICE_LOSS)
+    for label, kind, lossy in loss_cases():
+        assert decoded_sides(label, kind, 0.7) == lossy, label
+    # dropping exactly one photon of (1, 1) promotes it to a conclusive pattern
+    seen = {out for out, lost in decoded_sides((1, 1), protocol._KIND_DEVICE, 0.5) if lost}
+    assert seen == {PLUS, MINUS, INC}
 
 
 def test_key_disagreement_tracks_detector_loss():
