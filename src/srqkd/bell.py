@@ -185,14 +185,6 @@ def expectation_value(
     return val.real
 
 
-def expectation_oracle(
-    settings: Tuple[Optional[ProjectorSetting], Optional[ProjectorSetting]],
-) -> float:
-    """Exact expectation on the shared source state."""
-    setting_a, setting_b = settings
-    return expectation_value(make_source_state(), setting_a, setting_b)
-
-
 def bell_terms(
     alpha: float,
     beta: float,
@@ -361,19 +353,3 @@ def s_with_eve(
     for prob, member in ensemble.members:
         total += prob * assemble_s(bell_terms(alpha, beta, state=member, convention=convention))
     return total
-
-
-def eve_pa_literal(e_a: SuperpositionCoeffs, setting: ProjectorSetting) -> complex:
-    """Literal operator product <phi| QA' P_e |phi> on arm A.
-
-    This is the (generally complex, non-physical) diagnostic obtained by
-    multiplying the party-A test projector with the interceptor's
-    projector instead of composing the measurements; reported as data, not
-    used by the detector.
-    """
-    if setting.party is not Party.A or setting.tag is not SettingTag.SUPERPOSITION:
-        raise ValueError("expected a party-A superposition setting")
-    state = make_source_state()
-    step = project_mode_qubit(state, 0, e_a.c0, e_a.c1)
-    step = apply_setting(step, setting)
-    return inner_product(state, step)

@@ -296,7 +296,7 @@ def _load_config_object(path_str: str, command: str) -> Tuple[dict, str]:
     """Read a config file; unwrap a manifest if that's what was given."""
     try:
         raw = Path(path_str).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SchemaError("<config>", f"cannot read {path_str}: {err}") from err
     try:
         data = json.loads(raw)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -163,6 +163,18 @@ _TRANSFER = tuple(
 )
 
 
+def _count_rows(probe: ProbeState) -> Iterator[Tuple[DeviceOutcome, int, complex, complex]]:
+    """``(outcome, top, c0, c1)`` per count pattern: the arm functional the probe mixes in.
+
+    A pattern maps the arm amplitudes (a0, a1) to c0 a0 + c1 a1.  A
+    generator, not a list: every device draw walks it once, and building a
+    list per draw costs each draw about half a microsecond more.
+    """
+    g0, g1 = probe.g0, probe.g1
+    for outcome, top, t00, t10, t01, t11 in _TRANSFER:
+        yield outcome, top, g0 * t00 + g1 * t10, g0 * t01 + g1 * t11
+
+
 def _branch_table(state: StateVector, arm: int, probe: ProbeState):
     """Rows ``(outcome, probability, c0, c1)`` of the patterns above 1e-14, and the arm split."""
     _check_mode(state, arm)
@@ -179,10 +191,9 @@ def _branch_table(state: StateVector, arm: int, probe: ProbeState):
     g00, g11, g01 = gram
     if abs(g00 + g11 - 1.0) > STATE_NORM_TOL:
         raise ValueError("input state must be normalized")
-    g0, g1, cross = probe.g0, probe.g1, 2.0 * g01
+    cross = 2.0 * g01
     rows = []
-    for outcome, top, t00, t10, t01, t11 in _TRANSFER:
-        c0, c1 = g0 * t00 + g1 * t10, g0 * t01 + g1 * t11
+    for outcome, top, c0, c1 in _count_rows(probe):
         prob = abs(c0) ** 2 * g00 + abs(c1) ** 2 * g11 + (c0.conjugate() * c1 * cross).real
         if top > state.n_max and prob > PRUNE_EPS**2:
             raise TruncationOverflow(f"counts {outcome.detector_counts} exceed n_max={state.n_max}")

@@ -141,19 +141,6 @@ def apply_creation(state: StateVector, mode: int) -> StateVector:
     return StateVector._raw(state.mode_count, state.n_max, out)
 
 
-def apply_annihilation(state: StateVector, mode: int) -> StateVector:
-    """Apply the lowering operator on one mode (amplitude factor sqrt(n))."""
-    _check_mode(state, mode)
-    out: Dict[Occupation, complex] = {}
-    for occ, amp in state.items():
-        n = occ[mode]
-        if n == 0:
-            continue
-        new = occ[:mode] + (n - 1,) + occ[mode + 1 :]
-        out[new] = out.get(new, 0j) + amp * math.sqrt(n)
-    return StateVector._raw(state.mode_count, state.n_max, out)
-
-
 def inner_product(x: StateVector, y: StateVector) -> complex:
     """<x|y>, conjugate-linear in the first argument."""
     _check_shapes(x, y)
@@ -181,10 +168,6 @@ def tensor(x: StateVector, y: StateVector) -> StateVector:
         for occ_y, amp_y in y.items():
             out[occ_x + occ_y] = amp_x * amp_y
     return StateVector._raw(x.mode_count + y.mode_count, x.n_max, out)
-
-
-def normalize(state: StateVector) -> StateVector:
-    return state.normalized()
 
 
 def scale(state: StateVector, factor: complex) -> StateVector:

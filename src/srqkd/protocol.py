@@ -19,16 +19,24 @@ Three measurement backends share the sampler:
   readout (two outcomes, like IDEAL).
 
 The sampler never simulates optics per round, and never walks rounds in
-Python.  The exact outcome distribution for each (channel member, setting
-pair) is computed once with the Fock machinery and packed into padded
-arrays: cumulative branch probabilities for Alice, for Bob given Alice's
-branch, and the recorded outcome of every branch under every pattern of
-detector-loss draws.  Rounds are then drawn a chunk of ``CHUNK_ROUNDS`` at a
-time with whole-array lookups, from the counter-based streams documented in
-:mod:`srqkd.rng`; since every round's draws are addressed by its counter,
-the chunking changes no byte of the output.  A round is kept as one small
-record code (settings, outcomes, loss flags), and the transcript is a
-read-only sequence of :class:`RoundRecord` views over those codes.
+Python.  The shared state carries one photon, and neither the intercepts
+nor the settings add any, so each arm stays in its {|0>, |1>} span: a
+channel member is a 2x2 amplitude matrix Psi[a, b], and a setting with k
+outcomes is a k x 2 matrix M of row functionals on one arm.  The exact
+outcome distribution of a (channel member, setting pair) is then
+|M_A Psi M_B^T|^2, computed once and packed into padded arrays: cumulative
+branch probabilities for Alice, for Bob given Alice's branch, and the
+recorded outcome of every branch under every pattern of detector-loss
+draws.  The cavity backend needs no table of its own: the transfer tags
+each excitation with -i and the atom readout's direction image undoes it
+(see :mod:`srqkd.cavity`), so its rows are the projective ones.
+
+Rounds are drawn a chunk of ``CHUNK_ROUNDS`` at a time with whole-array
+lookups, from the counter-based streams documented in :mod:`srqkd.rng`;
+since every round's draws are addressed by its counter, the chunking
+changes no byte of the output.  A round is kept as one small record code
+(settings, outcomes, loss flags), and the transcript is a read-only
+sequence of :class:`RoundRecord` views over those codes.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -55,15 +63,14 @@ from .bell import (
     superposition_direction,
     _check_direction_pair,
 )
-from .cavity import ATOM_MODE, transfer_shared_state, _measurement_image
 from .device import (
     OutcomeTag,
     SuperpositionCoeffs,
-    analyze_device,
     classify_counts,
     probe_for_direction,
+    _count_rows,
 )
-from .fock import StateVector, drop_modes, overlap_mode_qubit, project_mode_number
+from .fock import StateVector
 from .optics import make_source_state
 from .rng import PARTY_ALICE, PARTY_BOB, PARTY_SHARED, round_uniforms
 
@@ -185,13 +192,6 @@ def record_from_code(round_id: int, code: int) -> RoundRecord:
     return RoundRecord(round_id, *_code_fields(code))
 
 
-def _record_code(rec: RoundRecord) -> int:
-    pair = _SETTINGS.index(rec.alice_setting) * 2 + _SETTINGS.index(rec.bob_setting)
-    a_side = _OUTCOMES.index(rec.alice_outcome) * 2 + bool(rec.alice_lost)
-    b_side = _OUTCOMES.index(rec.bob_outcome) * 2 + bool(rec.bob_lost)
-    return (pair * _SIDES + a_side) * _SIDES + b_side
-
-
 class Transcript(Sequence):
     """A run's rounds, stored as one record code per round.
 
@@ -252,67 +252,31 @@ _KIND_DEVICE = "device"
 _KIND_PROJECTIVE = "projective"
 
 
-def _number_branches(state: StateVector, mode: int) -> List[Tuple[object, str, float, StateVector]]:
-    out = []
-    for n in range(state.n_max + 1):
-        sub = project_mode_number(state, mode, n)
-        p = sub.norm_sq()
-        if p > _BRANCH_EPS:
-            out.append((n, _KIND_NUMBER, p, drop_modes(sub, (mode,)).normalized()))
-    return out
+def _setting_rows(
+    backend: Backend, tag: SettingTag, direction: SuperpositionCoeffs
+) -> Tuple[Tuple[object, str, Tuple[complex, complex]], ...]:
+    """Outcome branches of one setting on one arm: ``(label, kind, functional)``.
 
-
-def _projective_branches(
-    state: StateVector, mode: int, direction: SuperpositionCoeffs
-) -> List[Tuple[object, str, float, StateVector]]:
-    for occ in state.amplitudes:
-        if occ[mode] > 1:
-            raise ValueError("projective setting requires at most one photon in the arm")
-    orth = orthogonal_direction(direction)
-    out = []
-    for tag, d in ((OutcomeTag.PLUS, direction), (OutcomeTag.MINUS, orth)):
-        rest = overlap_mode_qubit(state, mode, d.c0, d.c1)
-        p = rest.norm_sq()
-        if p > _BRANCH_EPS:
-            out.append((tag, _KIND_PROJECTIVE, p, rest.normalized()))
-    return out
-
-
-def _device_branches(
-    state: StateVector, mode: int, direction: SuperpositionCoeffs
-) -> List[Tuple[object, str, float, StateVector]]:
-    probe = probe_for_direction(direction)
-    return [
-        (b.counts, _KIND_DEVICE, b.probability, b.remainder)
-        for b in analyze_device(state, mode, probe)
-    ]
-
-
-def _party_branches(
-    state: StateVector,
-    backend: Backend,
-    tag: SettingTag,
-    direction: SuperpositionCoeffs,
-    mode: int,
-) -> List[Tuple[object, str, float, StateVector]]:
+    A setting consumes its arm's qubit span {|0>, |1>}; a branch's
+    functional (f0, f1) maps the arm amplitudes (a0, a1) to f0 a0 + f1 a1,
+    the unnormalized state of the other arm when that branch fires.  The cavity backend
+    reads its atoms with the projective rows: the -i the transfer puts on an
+    excitation and the -i of the readout's direction image cancel.
+    """
     if tag is SettingTag.NUMBER:
-        return _number_branches(state, mode)
+        return ((0, _KIND_NUMBER, (1.0, 0.0)), (1, _KIND_NUMBER, (0.0, 1.0)))
     if backend is Backend.DEVICE:
-        return _device_branches(state, mode, direction)
-    if backend is Backend.CAVITY:
-        direction = SuperpositionCoeffs(*_measurement_image(direction))
-    return _projective_branches(state, mode, direction)
-
-
-def _cumulative(branches):
-    acc = 0.0
-    out = []
-    for label, kind, p, child in branches:
-        acc += p
-        out.append((acc, label, kind, child))
-    if abs(acc - 1.0) > 1e-9:
-        raise ArithmeticError(f"branch probabilities sum to {acc}")
-    return out
+        return tuple(
+            (outcome.detector_counts, _KIND_DEVICE, (c0, c1))
+            for outcome, _, c0, c1 in _count_rows(probe_for_direction(direction))
+        )
+    return tuple(
+        (label, _KIND_PROJECTIVE, (d.c0.conjugate(), d.c1.conjugate()))
+        for label, d in (
+            (OutcomeTag.PLUS, direction),
+            (OutcomeTag.MINUS, orthogonal_direction(direction)),
+        )
+    )
 
 
 def _side_codes(label, kind: str, eta: float) -> Tuple[int, ...]:
@@ -365,32 +329,52 @@ class _Tables(NamedTuple):
     b_side: np.ndarray  # (rows, ka, kb, 4)
 
 
+def _arm_amplitudes(member: StateVector) -> np.ndarray:
+    """Psi[a, b]: the amplitude of a photons in arm A and b in arm B."""
+    psi = np.zeros((2, 2), dtype=complex)
+    for (a, b), amp in member.items():
+        if a > 1 or b > 1:
+            raise ValueError("each arm must hold at most one photon")
+        psi[a, b] = amp
+    return psi
+
+
+def _kept_branches(p: np.ndarray):
+    """Index and running probability of each branch above _BRANCH_EPS."""
+    keep = np.flatnonzero(p > _BRANCH_EPS)
+    cum = np.cumsum(p[keep])
+    if abs(cum[-1] - 1.0) > 1e-9:
+        raise ArithmeticError(f"branch probabilities sum to {cum[-1]}")
+    return zip(keep.tolist(), cum.tolist())
+
+
 def _build_tables(config: ProtocolConfig) -> _Tables:
     """Exact joint outcome tables per channel member and setting pair."""
-    source = make_source_state()
-    ensemble = eve_channel(config.eve, source)
-    dir_a = superposition_direction(Party.A, config.alpha, config.beta, config.convention)
-    dir_b = superposition_direction(Party.B, config.alpha, config.beta, config.convention)
-    cavity = config.backend is Backend.CAVITY
-    alice_mode = ATOM_MODE[Party.A] if cavity else 0
-    # Alice's measurement consumes her mode, an atom like a photon arm, so
-    # Bob's mode is one lower in what remains.
-    bob_mode = ATOM_MODE[Party.B] - 1 if cavity else 0
+    ensemble = eve_channel(config.eve, make_source_state())
+    settings = {}  # (party, tag) -> (functional matrix, side codes per branch)
+    for party in Party:
+        direction = superposition_direction(party, config.alpha, config.beta, config.convention)
+        for tag in _SETTINGS:
+            branches = _setting_rows(config.backend, tag, direction)
+            settings[party, tag] = (
+                np.array([functional for *_, functional in branches]),
+                [_side_codes(label, kind, config.eta) for label, kind, _ in branches],
+            )
 
     rows = []  # per row: [(cum, side codes, [(cum, side codes), ...] for Bob), ...]
     for _, member in ensemble.members:
-        root = transfer_shared_state(member) if cavity else member
+        psi = _arm_amplitudes(member)
         for sa in _SETTINGS:
-            a_branches = _party_branches(root, config.backend, sa, dir_a, alice_mode)
+            m_a, a_sides = settings[Party.A, sa]
+            left = m_a @ psi
             for sb in _SETTINGS:
+                m_b, b_sides = settings[Party.B, sb]
+                joint = np.abs(left @ m_b.T) ** 2
+                p_a = joint.sum(axis=1)
                 alice = []
-                for a_cum, a_label, a_kind, collapsed in _cumulative(a_branches):
-                    b_branches = _party_branches(collapsed, config.backend, sb, dir_b, bob_mode)
-                    bob = [
-                        (b_cum, _side_codes(b_label, b_kind, config.eta))
-                        for b_cum, b_label, b_kind, _ in _cumulative(b_branches)
-                    ]
-                    alice.append((a_cum, _side_codes(a_label, a_kind, config.eta), bob))
+                for i, a_cum in _kept_branches(p_a):
+                    bob = [(b_cum, b_sides[j]) for j, b_cum in _kept_branches(joint[i] / p_a[i])]
+                    alice.append((a_cum, a_sides[i], bob))
                 rows.append(alice)
 
     ka = max(len(alice) for alice in rows)
@@ -478,6 +462,11 @@ def _estimate_cells(code_counts: np.ndarray, backend: Backend):
     """S, its standard error and the cell sizes of a set of rounds.
 
     ``code_counts[c]`` is the number of rounds with record code ``c``.
+    Marginal superposition terms use every round where that party chose the
+    superposition setting; joint terms use the matching setting-pair cells.
+    Inconclusive device outcomes stay in the denominators (they are simply
+    not hits), which together with the x2/x4 device scalings keeps the
+    estimator unbiased.
     """
     counts = (code_counts @ _CELL_COUNTS).tolist()
     hits = (code_counts @ _CELL_HITS).tolist()
@@ -494,32 +483,6 @@ def _estimate_cells(code_counts: np.ndarray, backend: Backend):
     s = terms[0] + terms[1] - terms[2] - terms[3] - terms[4] + terms[5]
     cells = dict(zip(_CELL_NAMES, counts))
     return s, math.sqrt(variance), cells
-
-
-def estimate_s(
-    records: Sequence[RoundRecord],
-    alpha: float,
-    beta: float,
-    backend: Backend = Backend.IDEAL,
-) -> Tuple[float, float]:
-    """Six-term S estimate and its binomial standard error.
-
-    Marginal superposition terms use every round where that party chose the
-    superposition setting; joint terms use the matching setting-pair cells.
-    Inconclusive device outcomes stay in the denominators (they are simply
-    not hits), which together with the x2/x4 device scalings keeps the
-    estimator unbiased.  alpha/beta are validated for interface symmetry
-    with the analytic routines; the estimate itself is setting-free.
-    """
-    _check_direction_pair(alpha, beta)
-    if not records:
-        raise ValueError("no records to estimate from")
-    codes = np.fromiter(map(_record_code, records), dtype=np.uint16)
-    s, stderr, cells = _estimate_cells(np.bincount(codes, minlength=RECORD_CODES), backend)
-    empty = [name for name, n in cells.items() if n == 0]
-    if empty:
-        raise ValueError(f"empty estimator cells: {', '.join(empty)}")
-    return s, stderr
 
 
 # ---------------------------------------------------------------------------

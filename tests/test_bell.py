@@ -21,8 +21,6 @@ from srqkd.bell import (
     bell_terms,
     check_inequality,
     eve_channel,
-    eve_pa_literal,
-    expectation_oracle,
     expectation_value,
     number_setting,
     orthogonal_direction,
@@ -117,10 +115,11 @@ def test_expectation_worked_values():
     sup_a = superposition_setting(Party.A, alpha, beta)
     sup_b = superposition_setting(Party.B, alpha, beta)
     num_a, num_b = number_setting(Party.A), number_setting(Party.B)
-    assert expectation_oracle((sup_a, None)) == pytest.approx(0.5, abs=1e-12)
-    assert expectation_oracle((num_a, num_b)) == pytest.approx(0.0, abs=1e-12)
-    assert expectation_oracle((sup_a, sup_b)) == pytest.approx(0.375, abs=1e-12)
-    assert expectation_oracle((sup_a, num_b)) == pytest.approx(0.375, abs=1e-12)
+    source = make_source_state()
+    assert expectation_value(source, sup_a, None) == pytest.approx(0.5, abs=1e-12)
+    assert expectation_value(source, num_a, num_b) == pytest.approx(0.0, abs=1e-12)
+    assert expectation_value(source, sup_a, sup_b) == pytest.approx(0.375, abs=1e-12)
+    assert expectation_value(source, sup_a, num_b) == pytest.approx(0.375, abs=1e-12)
 
 
 def test_projection_is_idempotent():
@@ -264,36 +263,6 @@ def test_every_intercept_strategy_lands_in_the_product_band():
         beta = math.sqrt(1.0 - alpha * alpha)
         s = s_with_eve(random_strategy(rng), alpha, beta)
         assert -1e-9 <= s <= 1.0 + 1e-9
-
-
-def test_literal_operator_product_values():
-    setting = superposition_setting(Party.A, 0.5, SQRT3_2)
-    aligned = setting.direction
-    assert eve_pa_literal(aligned, setting) == pytest.approx(0.5, abs=1e-12)
-    assert eve_pa_literal(orthogonal_direction(aligned), setting) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert eve_pa_literal(SuperpositionCoeffs(0.0, 1.0), setting) == pytest.approx(
-        0.125, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        eve_pa_literal(aligned, number_setting(Party.A))
-    with pytest.raises(ValueError):
-        eve_pa_literal(aligned, superposition_setting(Party.B, 0.5, SQRT3_2))
-
-
-def test_literal_operator_product_against_dense_route():
-    rng = np.random.default_rng(67)
-    eye = np.eye(2)
-    for _ in range(25):
-        e_a = random_direction(rng)
-        alpha = math.sin(rng.uniform(0.1, math.pi / 2.0 - 0.1))
-        beta = math.sqrt(1.0 - alpha * alpha)
-        setting = superposition_setting(Party.A, alpha, beta)
-        op = np.kron(dense_projector(setting.direction) @ dense_projector(e_a), eye)
-        want = complex(SOURCE_DENSE.conj() @ op @ SOURCE_DENSE)
-        got = eve_pa_literal(e_a, setting)
-        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_strategy_validation():

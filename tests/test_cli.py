@@ -164,6 +164,15 @@ def test_huge_json_integers_are_config_errors(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark before "{}"
+    out = tmp_path / "o"
+    assert cli.main(["run-protocol", "--config", str(config), "--out", str(out)]) == 1
+    assert "config error at <config>: cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_transcript_write_leaves_no_output(tmp_path, monkeypatch):
     real = cli._transcript_lines
 

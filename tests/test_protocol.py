@@ -1,5 +1,6 @@
-"""End-to-end protocol runs, the S estimator, and the loss model."""
+"""End-to-end protocol runs, the exact tables, the S estimator, and the loss model."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -16,20 +17,23 @@ from srqkd.bell import (
     FieldError,
     Party,
     SettingTag,
+    eve_channel,
+    orthogonal_direction,
+    superposition_direction,
 )
-from srqkd.cavity import ATOM_MODE, transfer_shared_state
-from srqkd.device import OutcomeTag, SuperpositionCoeffs
+from srqkd.cavity import ATOM_MODE, transfer_shared_state, _measurement_image
+from srqkd.device import OutcomeTag, SuperpositionCoeffs, probe_for_direction
+from srqkd.fock import StateVector, drop_modes, overlap_mode_qubit, project_mode_number, tensor
+from srqkd.optics import BeamSplitter, apply_beam_splitter, make_source_state
 from srqkd.protocol import (
+    RECORD_CODES,
     Backend,
     ProtocolConfig,
     RoundOutcome,
     RoundRecord,
     Verdict,
-    estimate_s,
     run_protocol,
 )
-from srqkd.fock import StateVector
-from srqkd.optics import make_source_state
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -118,46 +122,203 @@ def test_cavity_tables_equal_ideal_tables(convention):
                 assert np.array_equal(a, b), (eta, eve.targets, name)
 
 
+def fock_branches(state, backend, tag, direction, mode):
+    """Reference route: one setting's branches on the sparse Fock state.
+
+    Returns ``(label, kind, probability, renormalized remainder)`` per branch
+    above 1e-14; the device expands the splitter with the probe appended.
+    """
+    if tag is NUM:
+        rests = [
+            (n, protocol._KIND_NUMBER, drop_modes(project_mode_number(state, mode, n), (mode,)))
+            for n in range(state.n_max + 1)
+        ]
+    elif backend is Backend.DEVICE:
+        probe = probe_for_direction(direction)
+        probe_mode = state.mode_count
+        work = tensor(state, StateVector(1, state.n_max, {(0,): probe.g0, (1,): probe.g1}))
+        mixed = apply_beam_splitter(work, BeamSplitter(0.5, port_a=probe_mode, port_b=mode))
+        by_counts = {}
+        for occ, amp in mixed.items():
+            by_counts.setdefault((occ[probe_mode], occ[mode]), {})[occ] = amp
+        rests = [
+            (counts, protocol._KIND_DEVICE, StateVector(mixed.mode_count, mixed.n_max, amps))
+            for counts, amps in sorted(by_counts.items())
+        ]
+        rests = [(c, k, drop_modes(sub, (mode, probe_mode))) for c, k, sub in rests]
+    else:
+        if backend is Backend.CAVITY:
+            direction = SuperpositionCoeffs(*_measurement_image(direction))
+        rests = [
+            (label, protocol._KIND_PROJECTIVE, overlap_mode_qubit(state, mode, d.c0, d.c1))
+            for label, d in (
+                (OutcomeTag.PLUS, direction),
+                (OutcomeTag.MINUS, orthogonal_direction(direction)),
+            )
+        ]
+    return [
+        (label, kind, rest.norm_sq(), rest.normalized())
+        for label, kind, rest in rests
+        if rest.norm_sq() > 1e-14
+    ]
+
+
+def running(branches):
+    acc = 0.0
+    for label, kind, p, rest in branches:
+        acc += p
+        yield acc, label, kind, rest
+
+
+def oracle_rows(config):
+    """Per table row, Alice's ``(cum, sides, Bob's [(cum, sides)])`` by the Fock route.
+
+    Each member is branched on Alice's mode, renormalized, then branched on
+    Bob's; the cavity backend first transfers both photons onto the atoms.
+    """
+    cavity = config.backend is Backend.CAVITY
+    # Alice's measurement consumes her mode, so Bob's is one lower in what remains.
+    mode_a, mode_b = (ATOM_MODE[Party.A], ATOM_MODE[Party.B] - 1) if cavity else (0, 0)
+    dir_a, dir_b = (
+        superposition_direction(party, config.alpha, config.beta, config.convention)
+        for party in Party
+    )
+    rows = []
+    for _, member in eve_channel(config.eve, make_source_state()).members:
+        root = transfer_shared_state(member) if cavity else member
+        for sa in (NUM, SUP):
+            a_branches = fock_branches(root, config.backend, sa, dir_a, mode_a)
+            for sb in (NUM, SUP):
+                alice = []
+                for a_cum, a_label, a_kind, rest in running(a_branches):
+                    bob = [
+                        (b_cum, protocol._side_codes(b_label, b_kind, config.eta))
+                        for b_cum, b_label, b_kind, _ in running(
+                            fock_branches(rest, config.backend, sb, dir_b, mode_b)
+                        )
+                    ]
+                    alice.append((a_cum, protocol._side_codes(a_label, a_kind, config.eta), bob))
+                rows.append(alice)
+    return rows
+
+
+def random_direction(rng):
+    z = rng.normal(size=2) + 1j * rng.normal(size=2)
+    z = z / np.linalg.norm(z)
+    return SuperpositionCoeffs(complex(z[0]), complex(z[1]))
+
+
+def oracle_strategies(rng):
+    yield IDENTITY_STRATEGY
+    for targets in (EveTargets.ARM_A, EveTargets.ARM_B, EveTargets.BOTH):
+        for n_atoms in (1, 2, 3):
+            weights = rng.dirichlet(np.ones(n_atoms))
+            atoms = (EveAtom(float(w), random_direction(rng), random_direction(rng)) for w in weights)
+            yield EveStrategy(targets, tuple(atoms))
+
+
+def assert_tables_match(tables, rows, where):
+    ka = max(len(alice) for alice in rows)
+    kb = max(len(bob) for alice in rows for *_, bob in alice)
+    assert tables.a_cum.shape == (len(rows), ka), where
+    assert tables.b_cum.shape == (len(rows), ka, kb), where
+    for i, alice in enumerate(rows):
+        assert tables.a_last[i] == len(alice) - 1, (where, i)
+        for j, (a_cum, a_side, bob) in enumerate(alice):
+            assert abs(tables.a_cum[i, j] - a_cum) <= 1e-12, (where, i, j)
+            assert tuple(tables.a_side[i, j]) == a_side, (where, i, j)
+            assert tables.b_last[i, j] == len(bob) - 1, (where, i, j)
+            for k, (b_cum, b_side) in enumerate(bob):
+                assert abs(tables.b_cum[i, j, k] - b_cum) <= 1e-12, (where, i, j, k)
+                assert tuple(tables.b_side[i, j, k]) == b_side, (where, i, j, k)
+
+
+def test_tables_match_fock_oracle():
+    """The 2x2 amplitude tables equal the sparse-Fock branch chain's."""
+    rng = np.random.default_rng(71)
+    for eve in oracle_strategies(rng):
+        alpha = math.sin(rng.uniform(0.1, math.pi / 2.0 - 0.1))
+        beta = math.sqrt(1.0 - alpha * alpha)
+        members = eve_channel(eve, make_source_state()).members
+        for backend, convention, eta in itertools.product(Backend, Convention, (1.0, 0.9, 0.7)):
+            config = ProtocolConfig(
+                rounds=1, seed=0, alpha=alpha, beta=beta, eta=eta,
+                backend=backend, eve=eve, convention=convention,
+            )
+            tables = protocol._build_tables(config)
+            assert np.array_equal(tables.member_cum, np.cumsum([p for p, _ in members]))
+            assert_tables_match(tables, oracle_rows(config), (eve, backend, convention, eta))
+
+
+def test_member_amplitudes_hold_at_most_one_photon_per_arm():
+    # rows are arm A's photon count, columns arm B's
+    psi = protocol._arm_amplitudes(make_source_state())
+    assert np.allclose(psi, [[0.0, -math.sqrt(0.5)], [math.sqrt(0.5), 0.0]], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="at most one photon"):
+        protocol._arm_amplitudes(StateVector(2, 2, {(0, 2): 1.0}))
+
+
+def decoded(code):
+    """(outcome, lost) of a side code."""
+    return list(RoundOutcome)[code >> 1], bool(code & 1)
+
+
 def test_number_click_on_arm_a_leaves_arm_b_empty():
     """Alice holds the photon exactly when Bob's arm (or atom) is vacuum."""
-    photons = make_source_state()
-    atoms = transfer_shared_state(photons)
-    any_dir = SuperpositionCoeffs(0.6, 0.8)
-    # Alice's mode is consumed, so Bob's is one lower in the remainder.
-    for backend, state, alice_mode, bob_mode in (
-        (Backend.IDEAL, photons, 0, 0),
-        (Backend.CAVITY, atoms, ATOM_MODE[Party.A], ATOM_MODE[Party.B] - 1),
-    ):
-        branches = protocol._party_branches(state, backend, NUM, any_dir, alice_mode)
-        assert [label for label, *_ in branches] == [0, 1]
-        for n, kind, p, rest in branches:
-            assert kind == protocol._KIND_NUMBER
-            assert p == pytest.approx(0.5, abs=1e-12)
-            assert rest.mode_count == state.mode_count - 1
-            assert {occ[bob_mode] for occ, amp in rest.items() if abs(amp) > 1e-12} == {1 - n}
+    for backend in (Backend.IDEAL, Backend.CAVITY):
+        rows = protocol._setting_rows(backend, NUM, SuperpositionCoeffs(0.6, 0.8))
+        assert [(label, kind) for label, kind, _ in rows] == [
+            (0, protocol._KIND_NUMBER),
+            (1, protocol._KIND_NUMBER),
+        ]
+        tables = protocol._build_tables(ProtocolConfig(rounds=1, seed=0, backend=backend))
+        # row 0: the honest member under number/number; each count has p = 1/2
+        assert tables.a_last[0] == 1
+        assert tables.a_cum[0].tolist() == pytest.approx([0.5, 1.0], abs=1e-12)
+        for n in (0, 1):
+            assert decoded(tables.a_side[0, n, 0]) == ((CLICK if n else NO_CLICK), False)
+            # Alice's count settles Bob's: one branch, holding the other count
+            assert tables.b_last[0, n] == 0
+            assert tables.b_cum[0, n, 0] == pytest.approx(1.0, abs=1e-12)
+            assert decoded(tables.b_side[0, n, 0, 0]) == ((NO_CLICK if n else CLICK), False)
 
 
 def test_cavity_superposition_branches_are_conclusive():
     """Atom readout has two outcomes, Plus and Minus, and never an inconclusive one."""
-    shared = transfer_shared_state(make_source_state())
-    ground = StateVector(4, 2, {(0, 0, 0, 0): 1.0})
-    excited = transfer_shared_state(StateVector(2, 2, {(1, 0): 1.0}))
-    mode = ATOM_MODE[Party.A]
-    excited_dir = SuperpositionCoeffs(0.0, 1.0)
-    # the ground atom never fires for the excited-state direction, and a
-    # transferred single photon always does
-    for state, only in ((ground, OutcomeTag.MINUS), (excited, OutcomeTag.PLUS)):
-        branches = protocol._party_branches(state, Backend.CAVITY, SUP, excited_dir, mode)
-        assert [(label, kind) for label, kind, *_ in branches] == [
-            (only, protocol._KIND_PROJECTIVE)
-        ]
-        assert branches[0][2] == pytest.approx(1.0, abs=1e-12)
-    for c0, c1 in ((SQRT3_2, 0.5), (0.6, 0.8j), (1.0, 0.0)):
-        d = SuperpositionCoeffs(c0, c1)
-        branches = protocol._party_branches(shared, Backend.CAVITY, SUP, d, mode)
-        assert {label for label, *_ in branches} <= {OutcomeTag.PLUS, OutcomeTag.MINUS}
-        assert {kind for _, kind, *_ in branches} == {protocol._KIND_PROJECTIVE}
-        assert sum(p for _, _, p, _ in branches) == pytest.approx(1.0, abs=1e-12)
+    # alpha = 1 points Alice's readout at the excited atom, and an arm-A
+    # intercept on |1> leaves her atom excited in member 0, ground in member 1
+    intercept = EveStrategy(
+        EveTargets.ARM_A,
+        (EveAtom(1.0, SuperpositionCoeffs(0.0, 1.0), SuperpositionCoeffs(1.0, 0.0)),),
+    )
+    config = ProtocolConfig(
+        rounds=1, seed=0, alpha=1.0, beta=0.0, eve=intercept, backend=Backend.CAVITY
+    )
+    tables = protocol._build_tables(config)
+    for member, only in ((0, PLUS), (1, MINUS)):
+        row = member * 4 + 2  # Alice superposition, Bob number
+        assert tables.a_last[row] == 0
+        assert tables.a_cum[row, 0] == pytest.approx(1.0, abs=1e-12)
+        assert decoded(tables.a_side[row, 0, 0]) == (only, False)
+    for alpha, beta in ((0.5, SQRT3_2), (0.6, 0.8), (1.0, 0.0)):
+        for eta in (1.0, 0.7):
+            config = ProtocolConfig(
+                rounds=1, seed=0, alpha=alpha, beta=beta, eta=eta, backend=Backend.CAVITY
+            )
+            t = protocol._build_tables(config)
+            # pairs 2, 3: Alice superposition; pairs 1, 3: Bob superposition
+            sides = [t.a_side[p, j] for p in (2, 3) for j in range(t.a_last[p] + 1)]
+            sides += [
+                t.b_side[p, j, k]
+                for p in (1, 3)
+                for j in range(t.a_last[p] + 1)
+                for k in range(t.b_last[p, j] + 1)
+            ]
+            assert {decoded(code) for side in sides for code in side} <= {
+                (PLUS, False),
+                (MINUS, False),
+            }
+            assert t.a_cum[np.arange(4), t.a_last] == pytest.approx(np.ones(4), abs=1e-12)
 
 
 def test_sift_fraction_near_one_quarter():
@@ -223,22 +384,17 @@ def test_estimator_handmade_values():
         record(2, NUM, SUP, RoundOutcome.CLICK, RoundOutcome.MINUS),
         record(3, NUM, NUM, RoundOutcome.NO_CLICK, RoundOutcome.NO_CLICK),
     ]
-    s, stderr = estimate_s(records, 0.5, SQRT3_2)
+    code_of = {protocol.record_from_code(0, code): code for code in range(RECORD_CODES)}
+    codes = [code_of[replace(rec, round_id=0)] for rec in records]
+    counts = np.bincount(codes, minlength=RECORD_CODES)
+    s, stderr, _ = protocol._estimate_cells(counts, Backend.IDEAL)
     # cells: marginals 1/2 each, joint sup-sup 1, the rest 0
     assert s == pytest.approx(0.5 + 0.5 - 1.0, abs=1e-12)
     assert stderr == pytest.approx(math.sqrt(2 * 0.25 / 2), abs=1e-12)
-    s_dev, stderr_dev = estimate_s(records, 0.5, SQRT3_2, Backend.DEVICE)
+    s_dev, stderr_dev, _ = protocol._estimate_cells(counts, Backend.DEVICE)
     # post-selection scalings: x2 marginals, x4 joint superposition cell
     assert s_dev == pytest.approx(2 * 0.5 + 2 * 0.5 - 4 * 1.0, abs=1e-12)
     assert stderr_dev == pytest.approx(math.sqrt(2 * 4 * 0.25 / 2), abs=1e-12)
-
-
-def test_estimator_rejects_missing_cells():
-    with pytest.raises(ValueError):
-        estimate_s([], 0.5, SQRT3_2)
-    only_key = [record(0, NUM, NUM, RoundOutcome.CLICK, RoundOutcome.NO_CLICK)]
-    with pytest.raises(ValueError, match="sup_a"):
-        estimate_s(only_key, 0.5, SQRT3_2)
 
 
 def test_insufficient_data_verdict():
