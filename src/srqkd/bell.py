@@ -11,6 +11,11 @@ is non-negative for every mixture of product states, while the shared
 state drives it to alpha^2 (1 - 2 beta^2), which is negative whenever
 beta^2 > 1/2 (and alpha != 0).
 
+Each term applies B's projector (if any), then A's, then takes the inner
+product with the state.  The terms share B's projections: the state is
+projected once onto B's direction and once onto B's one-photon level, and
+A's projectors act on those two vectors.
+
 Direction conventions
 ---------------------
 The *operational* convention is the default everywhere: for parameters
@@ -64,19 +69,6 @@ class InequalityVerdict(Enum):
     SATISFIED = "Satisfied"
     VIOLATED_BELOW = "ViolatedBelow"
     VIOLATED_ABOVE = "ViolatedAbove"
-
-
-@dataclass(frozen=True)
-class ProjectorSetting:
-    tag: SettingTag
-    party: Party
-    direction: Optional[SuperpositionCoeffs] = None
-
-    def __post_init__(self):
-        if self.tag is SettingTag.SUPERPOSITION and self.direction is None:
-            raise ValueError("superposition setting needs a direction")
-        if self.tag is SettingTag.NUMBER and self.direction is not None:
-            raise ValueError("number setting takes no direction")
 
 
 @dataclass(frozen=True)
@@ -139,50 +131,26 @@ def superposition_direction(
     return SuperpositionCoeffs(*_fix_phase(*pair))
 
 
-def number_setting(party: Party) -> ProjectorSetting:
-    return ProjectorSetting(SettingTag.NUMBER, party)
-
-
-def superposition_setting(
-    party: Party, alpha: float, beta: float, convention: Convention = Convention.OPERATIONAL
-) -> ProjectorSetting:
-    return ProjectorSetting(
-        SettingTag.SUPERPOSITION, party, superposition_direction(party, alpha, beta, convention)
-    )
-
-
-def _party_mode(party: Party) -> int:
-    return 0 if party is Party.A else 1
-
-
-def apply_setting(state: StateVector, setting: ProjectorSetting) -> StateVector:
-    """Unnormalized projection of the two-arm state by one setting."""
-    mode = _party_mode(setting.party)
-    if setting.tag is SettingTag.NUMBER:
-        return project_mode_number(state, mode, 1)
-    d = setting.direction
-    return project_mode_qubit(state, mode, d.c0, d.c1)
-
-
-def expectation_value(
-    state: StateVector,
-    setting_a: Optional[ProjectorSetting],
-    setting_b: Optional[ProjectorSetting],
-) -> float:
-    """<state| PI_A PI_B |state> with identity for a missing setting."""
-    if setting_a is not None and setting_a.party is not Party.A:
-        raise ValueError("first setting must belong to party A")
-    if setting_b is not None and setting_b.party is not Party.B:
-        raise ValueError("second setting must belong to party B")
-    projected = state
-    if setting_b is not None:
-        projected = apply_setting(projected, setting_b)
-    if setting_a is not None:
-        projected = apply_setting(projected, setting_a)
+def _expectation(state: StateVector, projected: StateVector) -> float:
+    """<state|projected>, which is real for a projector chain."""
     val = inner_product(state, projected)
     if abs(val.imag) > 1e-12:
         raise ArithmeticError(f"projector expectation has imaginary part {val.imag}")
     return val.real
+
+
+def _terms(state: StateVector, d_a: SuperpositionCoeffs, d_b: SuperpositionCoeffs) -> BellTerms:
+    """The six terms of one state at A's direction d_a and B's direction d_b."""
+    b_sup = project_mode_qubit(state, 1, d_b.c0, d_b.c1)
+    b_num = project_mode_number(state, 1, 1)
+    return BellTerms(
+        sup_a=_expectation(state, project_mode_qubit(state, 0, d_a.c0, d_a.c1)),
+        sup_b=_expectation(state, b_sup),
+        sup_sup=_expectation(state, project_mode_qubit(b_sup, 0, d_a.c0, d_a.c1)),
+        sup_num=_expectation(state, project_mode_qubit(b_num, 0, d_a.c0, d_a.c1)),
+        num_sup=_expectation(state, project_mode_number(b_sup, 0, 1)),
+        num_num=_expectation(state, project_mode_number(b_num, 0, 1)),
+    )
 
 
 def bell_terms(
@@ -194,17 +162,10 @@ def bell_terms(
     """All six test-term expectations at the given settings."""
     if state is None:
         state = make_source_state()
-    num_a = number_setting(Party.A)
-    num_b = number_setting(Party.B)
-    sup_a = superposition_setting(Party.A, alpha, beta, convention)
-    sup_b = superposition_setting(Party.B, alpha, beta, convention)
-    return BellTerms(
-        sup_a=expectation_value(state, sup_a, None),
-        sup_b=expectation_value(state, None, sup_b),
-        sup_sup=expectation_value(state, sup_a, sup_b),
-        sup_num=expectation_value(state, sup_a, num_b),
-        num_sup=expectation_value(state, num_a, sup_b),
-        num_num=expectation_value(state, num_a, num_b),
+    return _terms(
+        state,
+        superposition_direction(Party.A, alpha, beta, convention),
+        superposition_direction(Party.B, alpha, beta, convention),
     )
 
 
@@ -315,7 +276,7 @@ def _intercept_mode(
         for branch in (kept, complement):
             p = branch.norm_sq()
             if p > ENSEMBLE_PROB_EPS:
-                out.append((prob * p, branch.normalized()))
+                out.append((prob * p, scale(branch, 1.0 / math.sqrt(p))))
     return out
 
 
@@ -349,7 +310,9 @@ def s_with_eve(
 ) -> float:
     """Exact S seen by the testing parties after the intercept channel."""
     ensemble = eve_channel(strategy, make_source_state())
+    d_a = superposition_direction(Party.A, alpha, beta, convention)
+    d_b = superposition_direction(Party.B, alpha, beta, convention)
     total = 0.0
     for prob, member in ensemble.members:
-        total += prob * assemble_s(bell_terms(alpha, beta, state=member, convention=convention))
+        total += prob * assemble_s(_terms(member, d_a, d_b))
     return total

@@ -352,11 +352,12 @@ def _parse_fields(obj: dict, prefix: str, fields: Dict[str, Tuple[Callable, obje
     return out
 
 
-def _override(values: dict, args: argparse.Namespace, names: Sequence[str]) -> None:
+def _override(values: dict, args: argparse.Namespace, fields, names: Sequence[str]) -> None:
+    """Apply the given flags, each checked by its field's parser under the field's name."""
     for name in names:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
-            values[name] = flag_value
+            values[name] = fields[name][0](flag_value, name)
 
 
 def _build_protocol_config(values: dict, prefix: str) -> ProtocolConfig:
@@ -407,15 +408,20 @@ def _resolve(args: argparse.Namespace, fields, override_names: Sequence[str]) ->
     else:
         obj, prefix = {}, ""
     values = _parse_fields(obj, prefix, fields)
-    _override(values, args, override_names)
+    _override(values, args, fields, override_names)
     return values, prefix
 
 
 def _alphas_field(value, path) -> Optional[List[float]]:
     if value is None:
         return None
-    items = _as_list(value, path)
-    return [_as_real(x, f"{path}[{i}]") for i, x in enumerate(items)] or None
+    out = []
+    for i, x in enumerate(_as_list(value, path)):
+        alpha = _as_real(x, f"{path}[{i}]")
+        if abs(alpha) > 1.0:
+            raise SchemaError(f"{path}[{i}]", "must lie in [-1, 1]")
+        out.append(alpha)
+    return out or None
 
 
 def cmd_bell_sweep(args: argparse.Namespace) -> int:

@@ -226,15 +226,31 @@ def overlap_mode_qubit(state: StateVector, mode: int, c0: complex, c1: complex) 
 
 
 def project_mode_qubit(state: StateVector, mode: int, c0: complex, c1: complex) -> StateVector:
-    """Unnormalized |u><u| on one mode, u = c0|0> + c1|1> in that mode's qubit span."""
-    rest = overlap_mode_qubit(state, mode, c0, c1)
+    """Unnormalized |u><u| on one mode, u = c0|0> + c1|1> in that mode's qubit span.
+
+    The same arithmetic as :func:`overlap_mode_qubit` followed by the
+    re-embedding along u, pruning included, without the intermediate vector.
+    """
+    _check_mode(state, mode)
+    c0, c1 = complex(c0), complex(c1)
+    bra0, bra1 = c0.conjugate(), c1.conjugate()
+    rest: Dict[Occupation, complex] = {}
+    for occ, amp in state.amplitudes.items():
+        n = occ[mode]
+        if n > 1:
+            continue
+        coeff = bra0 if n == 0 else bra1
+        if coeff == 0:
+            continue
+        key = occ[:mode] + occ[mode + 1 :]
+        rest[key] = rest.get(key, 0j) + coeff * amp
     out: Dict[Occupation, complex] = {}
-    for occ, amp in rest.items():
-        for level, coeff in ((0, complex(c0)), (1, complex(c1))):
-            if coeff == 0:
-                continue
-            full = occ[:mode] + (level,) + occ[mode:]
-            out[full] = out.get(full, 0j) + coeff * amp
+    for key, amp in rest.items():
+        if abs(amp) > PRUNE_EPS:
+            if c0 != 0:
+                out[key[:mode] + (0,) + key[mode:]] = 0j + c0 * amp
+            if c1 != 0:
+                out[key[:mode] + (1,) + key[mode:]] = 0j + c1 * amp
     return StateVector._raw(state.mode_count, state.n_max, out)
 
 

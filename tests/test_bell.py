@@ -1,6 +1,7 @@
 """Single-particle test statistic: terms, closed forms, and eavesdropping."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,24 +15,25 @@ from srqkd.bell import (
     EveTargets,
     InequalityVerdict,
     Party,
-    ProjectorSetting,
-    SettingTag,
-    apply_setting,
     assemble_s,
     bell_terms,
     check_inequality,
     eve_channel,
-    expectation_value,
-    number_setting,
     orthogonal_direction,
     s_closed_form,
     s_value,
     s_with_eve,
     superposition_direction,
-    superposition_setting,
 )
 from srqkd.device import SuperpositionCoeffs
-from srqkd.fock import StateVector, fidelity
+from srqkd.fock import (
+    StateVector,
+    fidelity,
+    inner_product,
+    overlap_mode_qubit,
+    project_mode_number,
+    project_mode_qubit,
+)
 from srqkd.optics import make_source_state
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -92,14 +94,6 @@ def test_direction_conventions():
         superposition_direction(Party.A, 0.5, 0.5)
 
 
-def test_setting_construction_rules():
-    with pytest.raises(ValueError):
-        ProjectorSetting(SettingTag.SUPERPOSITION, Party.A)
-    with pytest.raises(ValueError):
-        ProjectorSetting(SettingTag.NUMBER, Party.A, SuperpositionCoeffs(1.0, 0.0))
-    assert number_setting(Party.B).direction is None
-
-
 def test_six_terms_against_closed_forms():
     for convention in Convention:
         for alpha in np.linspace(0.05, 0.95, 19):
@@ -111,37 +105,26 @@ def test_six_terms_against_closed_forms():
 
 
 def test_expectation_worked_values():
-    alpha, beta = 0.5, SQRT3_2
-    sup_a = superposition_setting(Party.A, alpha, beta)
-    sup_b = superposition_setting(Party.B, alpha, beta)
-    num_a, num_b = number_setting(Party.A), number_setting(Party.B)
-    source = make_source_state()
-    assert expectation_value(source, sup_a, None) == pytest.approx(0.5, abs=1e-12)
-    assert expectation_value(source, num_a, num_b) == pytest.approx(0.0, abs=1e-12)
-    assert expectation_value(source, sup_a, sup_b) == pytest.approx(0.375, abs=1e-12)
-    assert expectation_value(source, sup_a, num_b) == pytest.approx(0.375, abs=1e-12)
+    terms = bell_terms(0.5, SQRT3_2, state=make_source_state())
+    assert terms.sup_a == pytest.approx(0.5, abs=1e-12)
+    assert terms.num_num == pytest.approx(0.0, abs=1e-12)
+    assert terms.sup_sup == pytest.approx(0.375, abs=1e-12)
+    assert terms.sup_num == pytest.approx(0.375, abs=1e-12)
 
 
 def test_projection_is_idempotent():
     state = make_source_state()
-    for setting in (
-        superposition_setting(Party.A, 0.5, SQRT3_2),
-        superposition_setting(Party.B, 0.6, 0.8, Convention.LITERAL),
-        number_setting(Party.A),
+    d_a = superposition_direction(Party.A, 0.5, SQRT3_2)
+    d_b = superposition_direction(Party.B, 0.6, 0.8, Convention.LITERAL)
+    for project in (
+        partial(project_mode_qubit, mode=0, c0=d_a.c0, c1=d_a.c1),
+        partial(project_mode_qubit, mode=1, c0=d_b.c0, c1=d_b.c1),
+        partial(project_mode_number, mode=0, n=1),
     ):
-        once = apply_setting(state, setting)
-        twice = apply_setting(once, setting)
+        once = project(state)
+        twice = project(once)
         assert once.norm_sq() == pytest.approx(twice.norm_sq(), abs=1e-12)
         assert fidelity(once, twice) > 1.0 - 1e-12
-
-
-def test_expectation_party_mismatch_rejected():
-    state = make_source_state()
-    setting_b = superposition_setting(Party.B, 0.5, SQRT3_2)
-    with pytest.raises(ValueError):
-        expectation_value(state, setting_b, None)
-    with pytest.raises(ValueError):
-        expectation_value(state, None, number_setting(Party.A))
 
 
 def test_s_worked_values():
@@ -288,3 +271,80 @@ def test_orthogonal_direction_is_orthogonal():
         overlap = u.c0.conjugate() * v.c0 + u.c1.conjugate() * v.c1
         assert abs(overlap) < 1e-12
         assert abs(v.c0) ** 2 + abs(v.c1) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def _two_step_qubit_projection(state, mode, d):
+    """|u><u| on one mode as <u| onto the rest, then re-embedded along u."""
+    rest = overlap_mode_qubit(state, mode, d.c0, d.c1)
+    out = {}
+    for occ, amp in rest.items():
+        for level, coeff in ((0, d.c0), (1, d.c1)):
+            if coeff != 0:
+                full = occ[:mode] + (level,) + occ[mode:]
+                out[full] = out.get(full, 0j) + coeff * amp
+    return StateVector(state.mode_count, state.n_max, out)
+
+
+def term_by_term_s_with_eve(strategy, alpha, beta, convention):
+    """S after the channel, each of the six terms projected on its own.
+
+    Per term: Bob's projector (if any), then Alice's, then <member|.>;
+    the terms are summed in assembly order and weighted per member.
+    """
+    d_a = superposition_direction(Party.A, alpha, beta, convention)
+    d_b = superposition_direction(Party.B, alpha, beta, convention)
+    sup_a = partial(_two_step_qubit_projection, mode=0, d=d_a)
+    sup_b = partial(_two_step_qubit_projection, mode=1, d=d_b)
+    num_a = partial(project_mode_number, mode=0, n=1)
+    num_b = partial(project_mode_number, mode=1, n=1)
+    chains = (
+        (sup_a, None),
+        (None, sup_b),
+        (sup_a, sup_b),
+        (sup_a, num_b),
+        (num_a, sup_b),
+        (num_a, num_b),
+    )
+    total = 0.0
+    for prob, member in eve_channel(strategy, make_source_state()).members:
+        values = []
+        for project_a, project_b in chains:
+            projected = member
+            if project_b is not None:
+                projected = project_b(projected)
+            if project_a is not None:
+                projected = project_a(projected)
+            values.append(inner_product(member, projected).real)
+        total += prob * (values[0] + values[1] - values[2] - values[3] - values[4] + values[5])
+    return total
+
+
+EDGE_DIRECTIONS = (
+    SuperpositionCoeffs(1.0, 0.0),
+    SuperpositionCoeffs(0.0, 1.0),
+    SuperpositionCoeffs(0.6, 0.8),
+    SuperpositionCoeffs(INV_SQRT2, INV_SQRT2),
+    SuperpositionCoeffs(INV_SQRT2, -INV_SQRT2),
+    SuperpositionCoeffs(INV_SQRT2, 1j * INV_SQRT2),
+    SuperpositionCoeffs(0.6j, -0.8),
+)
+EDGE_PAIRS = ((0.5, SQRT3_2), (0.0, 1.0), (1.0, 0.0), (INV_SQRT2, INV_SQRT2), (0.6, -0.8))
+
+
+def test_s_with_eve_is_bit_identical_to_term_by_term_route():
+    rng = np.random.default_rng(67)
+    strategies = [IDENTITY_STRATEGY]
+    for targets in (EveTargets.ARM_A, EveTargets.ARM_B, EveTargets.BOTH):
+        for e_a in EDGE_DIRECTIONS:
+            for e_b in EDGE_DIRECTIONS:
+                strategies.append(EveStrategy(targets, (EveAtom(1.0, e_a, e_b),)))
+    strategies += [random_strategy(rng) for _ in range(200)]
+    for i, strategy in enumerate(strategies):
+        if i % 3:
+            alpha, beta = EDGE_PAIRS[i % len(EDGE_PAIRS)]
+        else:
+            alpha = math.sin(rng.uniform(0.0, math.pi / 2.0))
+            beta = math.sqrt(1.0 - alpha * alpha)
+        for convention in Convention:
+            want = term_by_term_s_with_eve(strategy, alpha, beta, convention)
+            assert s_with_eve(strategy, alpha, beta, convention) == want, (i, alpha, beta, convention)

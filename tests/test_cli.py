@@ -103,6 +103,56 @@ def test_run_protocol_flag_overrides_config(tmp_path):
     assert manifest["config"]["seed"] == 6
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["eve-scan", "--strategies", "1"], "strategies"),
+        (["eve-scan", "--seed", "-1"], "seed"),
+        (["bell-sweep", "--points", "-1"], "points"),
+        (["device-stats", "--samples", "0"], "samples"),
+        (["device-stats", "--seed", str(2**64)], "seed"),
+        (["run-protocol", "--rounds", "0"], "rounds"),
+        (["run-protocol", "--eta", "nan"], "eta"),
+    ],
+)
+def test_flag_override_goes_through_the_field_parser(tmp_path, capsys, args, field):
+    out = tmp_path / "o"
+    assert cli.main(args + ["--out", str(out)]) == 1
+    assert f"config error at {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, outputs",
+    [
+        (["eve-scan", "--strategies", "3", "--rounds", "500", "--seed", "8"], ("eve_scan.csv",)),
+        (["bell-sweep", "--points", "5"], ("bell_sweep.csv",)),
+        (["bell-sweep", "--alphas", "0.25,-1"], ("bell_sweep.csv",)),
+        (["device-stats", "--samples", "500", "--seed", "3"], ("device_stats.json",)),
+    ],
+)
+def test_flag_override_replays_from_its_manifest(tmp_path, args, outputs):
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert cli.main(args + ["--out", str(first)]) == 0
+    replay = [args[0], "--config", str(first / "manifest.json"), "--out", str(second)]
+    assert cli.main(replay) == 0
+    for name in ("manifest.json",) + outputs:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_bell_sweep_alpha_beyond_one_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["bell-sweep", "--alphas", "0.5,1.5", "--out", str(out)]) == 1
+    assert "config error at alphas[1]:" in capsys.readouterr().err
+    config = write_config(tmp_path / "c.json", {"alphas": [1.5]})
+    assert cli.main(["bell-sweep", "--config", config, "--out", str(out)]) == 1
+    assert "config error at alphas[0]:" in capsys.readouterr().err
+    manifest = write_config(tmp_path / "m.json", {"command": "bell-sweep", "config": {"alphas": [-1.5]}})
+    assert cli.main(["bell-sweep", "--config", manifest, "--out", str(out)]) == 1
+    assert "config error at config.alphas[0]:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_insufficient_data_exit_code(tmp_path):
     code = cli.main(["run-protocol", "--rounds", "20", "--seed", "1", "--out", str(tmp_path)])
     assert code == 3

@@ -1,9 +1,13 @@
-"""Golden output digests of run-protocol.
+"""Golden output digests of run-protocol, eve-scan and bell-sweep.
 
-The digests were recorded with the round-by-round reference sampler that
-preceded the chunked one.  Each run has 2**16 + 123 rounds, so it crosses
-a sampling chunk boundary; any change to the bytes of a transcript or a
-summary shows up here.
+The run-protocol digests were recorded with the round-by-round reference
+sampler that preceded the chunked one.  Each run has 2**16 + 123 rounds,
+so it crosses a sampling chunk boundary; any change to the bytes of a
+transcript or a summary shows up here.
+
+The eve-scan and bell-sweep digests were recorded with the term-by-term
+projector route for S, so they pin the last bit of every analytic S
+(``s_with_eve`` and ``bell_terms``) that those commands print.
 """
 
 import hashlib
@@ -86,3 +90,57 @@ def test_run_protocol_golden_digests(tmp_path, backend, case):
     assert code == exit_code
     assert sha256(out / "transcript.jsonl") == transcript
     assert sha256(out / "summary.json") == summary
+
+
+# case -> (backend, eta, manifest digest, eve_scan.csv digest)
+EVE_SCAN_GOLDEN = {
+    "ideal-eta1": (
+        "ideal",
+        1.0,
+        "4794c33866f9956d28039be674329bc08f20652afe52da3d75309ab9ec25e6d6",
+        "531a8c82aebad6e850c57dd773b6f7835bc8dbddc97c0cd932004c0674d2e33f",
+    ),
+    "device-eta0.9": (
+        "device",
+        0.9,
+        "12a831c3647cba03a3cfa9be7f484f5811b0f512f6c519038cab7ef395397244",
+        "1228ea7d6a57b1b1851db6e22e7c1b029bda935a76b20dbe67026746d9c6fe9d",
+    ),
+}
+
+# convention -> (manifest digest, bell_sweep.csv digest)
+BELL_SWEEP_GOLDEN = {
+    "operational": (
+        "f1f60dba2673e2e4f9d74222b4f0c47d0044a7586f44a6af51171525b278f533",
+        "6251021f8d8e76ba50d3d98e1b4a3fe9b24e58880731726849ab1b7b262d8f29",
+    ),
+    "literal": (
+        "36b1317d262cce95208f74b261ee6209a9f92f91122129d7035ad110c3f6a9a4",
+        "beac665261103d3376af1c5aab7ce0e020ce7cf54b85b920052ad069b3b2b13d",
+    ),
+}
+
+
+def run_with_config(tmp_path, command, config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"schema_version": 1, **config}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(EVE_SCAN_GOLDEN))
+def test_eve_scan_golden_digests(tmp_path, case):
+    backend, eta, manifest, table = EVE_SCAN_GOLDEN[case]
+    config = {"strategies": 8, "rounds": 3000, "seed": 5, "backend": backend, "eta": eta}
+    out = run_with_config(tmp_path, "eve-scan", config)
+    assert sha256(out / "manifest.json") == manifest
+    assert sha256(out / "eve_scan.csv") == table
+
+
+@pytest.mark.parametrize("convention", sorted(BELL_SWEEP_GOLDEN))
+def test_bell_sweep_golden_digests(tmp_path, convention):
+    manifest, table = BELL_SWEEP_GOLDEN[convention]
+    out = run_with_config(tmp_path, "bell-sweep", {"points": 41, "projector_convention": convention})
+    assert sha256(out / "manifest.json") == manifest
+    assert sha256(out / "bell_sweep.csv") == table
